@@ -1,8 +1,8 @@
-"""Compare the pure-Python kernels against the compiled twin.
+"""Time the kernels on one representative workload each.
 
-Each kernel gets one representative workload; both backends see the exact
-same flat inputs and must produce identical outputs (checked before the
-numbers are printed, so a backend drift shows up here too).
+Each `workload_*(rng)` builds one kernel's flat inputs and returns
+(name, description, run), where run(module) calls that kernel of the given
+kernel module; the best of --repeat runs is printed.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
@@ -15,21 +15,15 @@ import time
 from subwordkit import DEFAULT_BUDGET, down_closure, gen_family
 from subwordkit import _kernels_py
 
-try:
-    from subwordkit import _kernels_c
-except ImportError:
-    _kernels_c = None
-
 
 def bench(fn, repeat):
     best = None
-    out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = fn()
+        fn()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best, out
+    return best
 
 
 def workload_is_subword(rng):
@@ -108,33 +102,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timed runs per backend; best is reported")
+                        help="timed runs per kernel; best is reported")
     args = parser.parse_args()
 
-    if _kernels_c is None:
-        print("compiled kernels not built; timing the pure backend only")
-
-    rows = []
+    head = f"{'kernel':<22}{'workload':<38}{'best':>9}"
+    print(head)
+    print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
                  workload_cone):
         name, desc, run = make(random.Random(args.seed))
-        t_pure, out_pure = bench(lambda: run(_kernels_py), args.repeat)
-        if _kernels_c is None:
-            rows.append((name, desc, t_pure, None, None))
-            continue
-        t_c, out_c = bench(lambda: run(_kernels_c), args.repeat)
-        if out_pure != out_c:
-            raise SystemExit(f"backend mismatch on {name}: {desc}")
-        rows.append((name, desc, t_pure, t_c, t_pure / t_c))
-
-    head = f"{'kernel':<22}{'workload':<38}{'pure':>9}{'compiled':>10}{'speedup':>9}"
-    print(head)
-    print("-" * len(head))
-    for name, desc, t_pure, t_c, ratio in rows:
-        pure = f"{t_pure * 1000:.1f}ms"
-        comp = "-" if t_c is None else f"{t_c * 1000:.1f}ms"
-        speed = "-" if ratio is None else f"{ratio:.1f}x"
-        print(f"{name:<22}{desc:<38}{pure:>9}{comp:>10}{speed:>9}")
+        best = bench(lambda: run(_kernels_py), args.repeat)
+        print(f"{name:<22}{desc:<38}{best * 1000:>7.1f}ms")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,39 @@
-"""Pure-Python kernels.
+"""The kernels: the hot loops of the package, on flat integer tables.
 
-Four entry points: `is_subword`, `subset_construction`, `dfa_minimize`,
-`cone_closure`.  The compiled twin (`_kernels_c`) implements the same
-signatures with identical observable behaviour; `kernels` picks one at
-import time.  Everything here works on flat integer tables so the two twins
-can share call sites and parity tests.
+Six entry points, reached through `subwordkit.kernels`:
+
+- `step` and `bits`, the powerset primitives: a state set is an int
+  bitmask, and every subset construction, membership run and product
+  search in the package moves a set by a letter with `step`;
+- `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
+  whole algorithms over the same tables.
 """
 
 from __future__ import annotations
 
 from .errors import BudgetExceededError
+
+
+def step(succ, k, mask, a):
+    """The a-successors of the state set `mask`.
+
+    succ is a flat n*k table, succ[q*k + a] = bitmask of a-successors of q;
+    the result is the OR of succ[q*k + a] over the members q of mask.
+    """
+    t = 0
+    while mask:
+        low = mask & -mask
+        t |= succ[(low.bit_length() - 1) * k + a]
+        mask ^= low
+    return t
+
+
+def bits(mask):
+    """The members of the state set `mask`, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def is_subword(x, y):
@@ -23,10 +47,10 @@ def is_subword(x, y):
 def subset_construction(n, k, succ, init_mask, budget):
     """Powerset construction over bitmask subsets, BFS order.
 
-    succ is a flat n*k table, succ[q*k + a] = bitmask of a-successors of q.
-    Empty successor subsets are never materialised (partial rows get -1).
-    Returns (delta, subsets): delta flat len(subsets)*k, subsets[i] the
-    bitmask behind DFA state i, subsets[0] == init_mask (must be nonzero).
+    succ is the flat successor table of `step`.  Empty successor subsets
+    are never materialised (partial rows get -1).  Returns (delta,
+    subsets): delta flat len(subsets)*k, subsets[i] the bitmask behind DFA
+    state i, subsets[0] == init_mask (must be nonzero).
     Raises BudgetExceededError once more than `budget` subsets appear.
     """
     idx = {init_mask: 0}
@@ -36,12 +60,7 @@ def subset_construction(n, k, succ, init_mask, budget):
     while pos < len(subsets):
         s = subsets[pos]
         for a in range(k):
-            t = 0
-            x = s
-            while x:
-                low = x & -x
-                t |= succ[(low.bit_length() - 1) * k + a]
-                x ^= low
+            t = step(succ, k, s, a)
             if t == 0:
                 delta.append(-1)
                 continue

@@ -65,6 +65,17 @@ def _add_io(p, with_input=True):
                    help="output as canonical text or Graphviz dot")
 
 
+def _positive_int(text):
+    """argparse type of --budget: a state cap of at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _budget_of(args):
     return DEFAULT_BUDGET if args.budget is None else args.budget
 
@@ -181,19 +192,19 @@ def _build_parser():
 
     p = sub.add_parser("closure", help="minimal DFA of the up- or down-closure")
     p.add_argument("direction", choices=("up", "down"))
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     _add_io(p)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("interior", help="minimal DFA of the up- or down-interior")
     p.add_argument("direction", choices=("up", "down"))
     p.add_argument("--method", choices=("antichain", "duality"), default="antichain")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     _add_io(p)
     p.set_defaults(func=_cmd_interior)
 
     p = sub.add_parser("minimize", help="canonical minimal DFA of the input")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     _add_io(p)
     p.set_defaults(func=_cmd_minimize)
 
@@ -202,7 +213,7 @@ def _build_parser():
     p.add_argument("--direction", choices=("up", "down"))
     p.add_argument("--in", dest="inp", metavar="FILE")
     p.add_argument("--in2", metavar="FILE", help="second automaton for inclusion/equal")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("bounds", help="fooling-set and rank lower bounds")
@@ -219,7 +230,7 @@ def _build_parser():
     p = sub.add_parser("experiment", help="run a registered experiment ('list' to enumerate)")
     p.add_argument("id")
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_positive_int)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_experiment)

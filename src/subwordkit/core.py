@@ -20,6 +20,7 @@ from typing import Mapping
 
 from .errors import BudgetExceededError, InputError
 from . import kernels
+from .kernels import bits, step
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -297,13 +298,7 @@ def accepts(a, w):
     k = a.k
     cur = a.init_mask()
     for x in letters:
-        nxt = 0
-        m = cur
-        while m:
-            low = m & -m
-            nxt |= succ[(low.bit_length() - 1) * k + x]
-            m ^= low
-        cur = nxt
+        cur = step(succ, k, cur, x)
         if not cur:
             return False
     return bool(cur & a.final_mask())
@@ -324,15 +319,8 @@ def determinize_subsets(a, budget=DEFAULT_BUDGET):
     fmask = a.final_mask()
     final = [i for i, s in enumerate(subsets) if s & fmask]
     dfa = Dfa(a.alphabet, len(subsets), delta, 0, final)
-    sets = tuple(frozenset(_mask_bits(s)) for s in subsets)
+    sets = tuple(frozenset(bits(s)) for s in subsets)
     return dfa, sets
-
-
-def _mask_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def minimize(d):
@@ -499,12 +487,7 @@ def enumerate_upto(a, maxlen, budget=DEFAULT_BUDGET):
         nxt = []
         for letters, mask in frontier:
             for x in range(k):
-                t = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    t |= succ[(low.bit_length() - 1) * k + x]
-                    m ^= low
+                t = step(succ, k, mask, x)
                 if not t:
                     continue
                 visited += 1

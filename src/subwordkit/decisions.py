@@ -32,6 +32,7 @@ from .core import (
     sigma_star_dfa,
 )
 from .closures import down_closure, up_closure
+from .kernels import bits, step
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,6 @@ def _check_direction(direction):
 
 def _closure_nfa(a, direction):
     return up_closure(a) if direction == "up" else down_closure(a)
-
-
-def _expand(succ, mask, k, x):
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= succ[(low.bit_length() - 1) * k + x]
-        mask ^= low
-    return out
 
 
 def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
@@ -95,10 +87,10 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
         for pair in frontier:
             am, bm = pair
             for x in range(k):
-                am2 = _expand(asucc, am, k, x)
+                am2 = step(asucc, k, am, x)
                 if not am2:
                     continue
-                key = (am2, _expand(bsucc, bm, k, x))
+                key = (am2, step(bsucc, k, bm, x))
                 if key in parent:
                     continue
                 parent[key] = (pair, x)
@@ -263,28 +255,22 @@ def down_universal(a, budget=DEFAULT_BUDGET):
     n = a.n
     k = a.k
     succ = a.succ_masks()
+    # one-letter table: the successors of q on any letter
+    anyx = [0] * n
+    for q in range(n):
+        for x in range(k):
+            anyx[q] |= succ[q * k + x]
     reach = []
     for s in range(n):
-        m = 1 << s
-        stack = [s]
-        while stack:
-            q = stack.pop()
-            for x in range(k):
-                new = succ[q * k + x] & ~m
-                while new:
-                    low = new & -new
-                    m |= low
-                    stack.append(low.bit_length() - 1)
-                    new ^= low
+        m = frontier = 1 << s
+        while frontier:
+            frontier = step(anyx, 1, frontier, 0) & ~m
+            m |= frontier
         reach.append(m)
-    init = a.init_mask()
     fin = a.final_mask()
     fwd = 0
-    mm = init
-    while mm:
-        low = mm & -mm
-        fwd |= reach[low.bit_length() - 1]
-        mm ^= low
+    for q in bits(a.init_mask()):
+        fwd |= reach[q]
     by_letter = [[] for _ in range(k)]
     for p, x, q in a.transitions:
         by_letter[x].append((p, q))

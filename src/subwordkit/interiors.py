@@ -35,6 +35,7 @@ from .core import (
     DEFAULT_BUDGET,
 )
 from .closures import closure_dfa
+from .kernels import bits, step
 
 DEFAULT_ANTICHAIN_BUDGET = 1 << 16
 
@@ -178,13 +179,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
         key = mask * k + x
         t = step_memo.get(key)
         if t is None:
-            t = 0
-            m = mask
-            while m:
-                low = m & -m
-                t |= succ[(low.bit_length() - 1) * k + x]
-                m ^= low
-            step_memo[key] = t
+            t = step_memo[key] = step(succ, k, mask, x)
         return t
 
     ks_all = (spec.k0,) + spec.ks
@@ -207,12 +202,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
         while stack:
             am, km = stack.pop()
             for x in range(k):
-                km2 = 0
-                m = km
-                while m:
-                    low = m & -m
-                    km2 |= ksucc[(low.bit_length() - 1) * k + x]
-                    m ^= low
+                km2 = step(ksucc, k, km, x)
                 if not km2:
                     continue
                 pair = (step2(am, x), km2)
@@ -229,7 +219,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
         ms = set(masks)
         keep = [m for m in ms
                 if not any(o != m and o & m == o for o in ms)]
-        keep.sort(key=lambda m: (bin(m).count("1"), tuple(_bits(m))))
+        keep.sort(key=lambda m: (bin(m).count("1"), tuple(bits(m))))
         return tuple(keep)
 
     start = reduce_masks(reach(a.init_mask(), 0))
@@ -256,13 +246,6 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
     final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
     dfa = Dfa(spec.gamma, len(order), delta, 0, final)
     return minimize(dfa) if minimized else dfa
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def up_interior(a, method="antichain", budget=None):

@@ -1,31 +1,14 @@
-"""Kernel selection.
+"""The kernel layer: every caller reaches the kernels through this module.
 
-Prefers the compiled twin when present; set SUBWORDKIT_KERNELS=pure or
-SUBWORDKIT_KERNELS=compiled to force a choice (forcing "compiled" without the
-extension built is an import error rather than a silent fallback).
+The kernels themselves live in `_kernels_py`, their one implementation, in
+pure Python.  Callers look the four whole algorithms up here at each call,
+as `kernels.<name>`, so that a tool can rebind one name in this namespace
+to wrap every call of it.  The powerset primitives `step` and `bits` run
+once per subset and letter, too often to wrap, and are imported by name.
 """
 
-import os
+from ._kernels_py import (bits, cone_closure, dfa_minimize, is_subword, step,
+                          subset_construction)
 
-from . import _kernels_py
-
-_choice = os.environ.get("SUBWORDKIT_KERNELS", "auto").lower()
-
-if _choice == "pure":
-    _impl = _kernels_py
-elif _choice == "compiled":
-    from . import _kernels_c as _impl
-elif _choice == "auto":
-    try:
-        from . import _kernels_c as _impl
-    except ImportError:
-        _impl = _kernels_py
-else:
-    raise ValueError(f"SUBWORDKIT_KERNELS must be pure, compiled or auto, got {_choice!r}")
-
-ACTIVE = "compiled" if _impl.__name__.endswith("_kernels_c") else "pure"
-
-is_subword = _impl.is_subword
-subset_construction = _impl.subset_construction
-dfa_minimize = _impl.dfa_minimize
-cone_closure = _impl.cone_closure
+# The kernel implementation in use, exported as subwordkit.KERNEL_BACKEND.
+ACTIVE = "pure"

@@ -192,6 +192,21 @@ def test_budget_exit_code(capsys, tmp_path):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["closure", "down"], ["interior", "up"], ["minimize"],
+    ["decide", "universal"], ["experiment", "up-closure-exact"],
+])
+def test_budget_must_be_positive(capsys, tmp_path, argv, budget):
+    # rejected as bad input before any work, not reported as exceeded
+    d = write_family(tmp_path, "D", 3)
+    inp = [] if argv[0] == "experiment" else ["--in", d]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + inp + ["--budget", budget])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_pipeline_gen_closure_decide(capsys, tmp_path):
     # a full round trip: family to file, closure to file, then decide on it
     e = write_family(tmp_path, "E", 3)

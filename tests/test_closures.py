@@ -93,6 +93,20 @@ def test_cone_fast_path_agrees_with_generic_route():
         assert fast == generic
 
 
+def test_cone_fast_path_beyond_64_suffixes():
+    # suffix-id bitmasks must not truncate or wrap at 64 bits: equal-length
+    # words are pairwise incomparable, so every word is a generator; with
+    # this seed, dropping or wrapping the ids >= 64 changes the result
+    rng = random.Random(73)
+    from subwordkit import Word, dfa_from_words
+    ab = auto_alphabet(2)
+    for _ in range(3):
+        words = {tuple(rng.randrange(2) for _ in range(8)) for _ in range(12)}
+        assert len({w[i:] for w in words for i in range(9)}) > 64
+        d = dfa_from_words(ab, [Word(ab, w) for w in words])
+        assert closure_dfa(d, "up") == minimize(determinize(up_closure(d)))
+
+
 def test_cone_fast_path_on_witness_families():
     for n in (2, 3, 4):
         e = gen_family("E", n)
