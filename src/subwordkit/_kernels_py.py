@@ -3,8 +3,9 @@
 Six entry points, reached through `subwordkit.kernels`:
 
 - `step` and `bits`, the powerset primitives: a state set is an int
-  bitmask, and every subset construction, membership run and product
-  search in the package moves a set by a letter with `step`;
+  bitmask, and every membership run and product search in the package
+  moves a set by a letter with `step` (subset construction, which needs
+  all k letters of every subset, ORs whole successor rows instead);
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
   whole algorithms over the same tables.
 """
@@ -52,6 +53,8 @@ def subset_construction(n, k, succ, init_mask, budget):
     subsets): delta flat len(subsets)*k, subsets[i] the bitmask behind DFA
     state i, subsets[0] == init_mask (must be nonzero).
     Raises BudgetExceededError once more than `budget` subsets appear.
+    Each subset's bits are walked once, OR-ing each member's whole row of
+    k successor masks into the k targets.
     """
     idx = {init_mask: 0}
     subsets = [init_mask]
@@ -59,8 +62,14 @@ def subset_construction(n, k, succ, init_mask, budget):
     pos = 0
     while pos < len(subsets):
         s = subsets[pos]
-        for a in range(k):
-            t = step(succ, k, s, a)
+        row = [0] * k
+        while s:
+            low = s & -s
+            base = (low.bit_length() - 1) * k
+            for a in range(k):
+                row[a] |= succ[base + a]
+            s ^= low
+        for t in row:
             if t == 0:
                 delta.append(-1)
                 continue

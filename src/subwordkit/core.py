@@ -15,7 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from operator import or_
 from typing import Mapping
 
 from .errors import BudgetExceededError, InputError
@@ -110,43 +111,91 @@ class Word:
         return " ".join(self.names()) if self.letters else "ε"
 
 
-@dataclass(frozen=True)
 class Nfa:
     """Epsilon-free NFA.  States are 0..n-1; transitions are (p, a, q)
-    triples with a a letter index; any number of initial states."""
+    triples with a a letter index; any number of initial states.
 
-    alphabet: Alphabet
-    n: int
-    transitions: frozenset
-    initial: frozenset
-    final: frozenset
+    Two forms hold the transitions: the flat n*k table of successor
+    bitmasks that the kernels read (`succ_masks`) and the `transitions`
+    frozenset.  An NFA keeps the form it was built from and derives the
+    other on first use, once.  The closures build the table directly, so
+    the triple set of a closure NFA (about n²/2 triples for the
+    down-closure of a path) exists only if asked for.  Two NFAs are equal
+    when they have the same alphabet, states, transitions, initial and
+    final states.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "final", frozenset(self.final))
-        if self.n < 0:
+    __slots__ = ("alphabet", "n", "initial", "final", "_succ", "_transitions")
+
+    def __init__(self, alphabet, n, transitions, initial, final):
+        transitions = frozenset(transitions)
+        initial = frozenset(initial)
+        final = frozenset(final)
+        if n < 0:
             raise InputError("state count must be nonnegative")
-        k = self.alphabet.k
-        for p, a, q in self.transitions:
-            if not (0 <= p < self.n and 0 <= q < self.n):
+        k = alphabet.k
+        for p, a, q in transitions:
+            if not (0 <= p < n and 0 <= q < n):
                 raise InputError(f"transition ({p},{a},{q}) uses a state out of range")
             if not 0 <= a < k:
                 raise InputError(f"transition ({p},{a},{q}) uses a letter out of range")
-        for s in self.initial | self.final:
-            if not 0 <= s < self.n:
+        for s in initial | final:
+            if not 0 <= s < n:
                 raise InputError(f"state {s} out of range")
+        self._init(alphabet, n, initial, final, None, transitions)
+
+    @classmethod
+    def _of_masks(cls, alphabet, n, succ, initial, final):
+        """NFA over a ready n*k successor table, taken as valid (for
+        constructions of the package, which build the table directly)."""
+        nfa = cls.__new__(cls)
+        nfa._init(alphabet, n, frozenset(initial), frozenset(final), tuple(succ), None)
+        return nfa
+
+    def _init(self, alphabet, n, initial, final, succ, transitions):
+        for name, value in (("alphabet", alphabet), ("n", n), ("initial", initial),
+                            ("final", final), ("_succ", succ),
+                            ("_transitions", transitions)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Nfa._of_masks, (self.alphabet, self.n, self.succ_masks(),
+                                self.initial, self.final))
 
     @property
     def k(self):
         return self.alphabet.k
 
+    @property
+    def transitions(self):
+        """Frozenset of (p, a, q) triples (derived from the table on first
+        access when the NFA was built from one)."""
+        t = self._transitions
+        if t is None:
+            k = self.k
+            t = frozenset((i // k, i % k, q)
+                          for i, m in enumerate(self._succ) for q in bits(m))
+            object.__setattr__(self, "_transitions", t)
+        return t
+
     def succ_masks(self):
-        """Flat n*k table of successor bitmasks (kernel input form)."""
-        succ = [0] * (self.n * self.k)
-        k = self.k
-        for p, a, q in self.transitions:
-            succ[p * k + a] |= 1 << q
+        """Flat n*k table of successor bitmasks (kernel input form):
+        entry p*k + a has bit q set for each transition (p, a, q).  Built
+        on first call and shared by all later ones."""
+        succ = self._succ
+        if succ is None:
+            k = self.k
+            table = [0] * (self.n * k)
+            for p, a, q in self._transitions:
+                table[p * k + a] |= 1 << q
+            succ = tuple(table)
+            object.__setattr__(self, "_succ", succ)
         return succ
 
     def init_mask(self):
@@ -163,6 +212,21 @@ class Nfa:
 
     def transitions_sorted(self):
         return sorted(self.transitions)
+
+    def __eq__(self, other):
+        if not isinstance(other, Nfa):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self.n == other.n
+                and self.initial == other.initial and self.final == other.final
+                and self.succ_masks() == other.succ_masks())
+
+    def __hash__(self):
+        return hash((self.alphabet, self.n, self.initial, self.final, self.succ_masks()))
+
+    def __repr__(self):
+        count = sum(m.bit_count() for m in self.succ_masks())
+        return (f"Nfa(n={self.n}, k={self.k}, initial={sorted(self.initial)}, "
+                f"final={sorted(self.final)}, transitions={count})")
 
 
 class Dfa:
@@ -304,23 +368,116 @@ def accepts(a, w):
     return bool(cur & a.final_mask())
 
 
+def check_budget(a, budget):
+    """Validate a state budget against the input automaton, before any work.
+
+    Raises InputError for a budget below 1, and BudgetExceededError when
+    the input alone has more states than the budget: a state count read
+    from an untrusted header is refused before anything sized by it is
+    allocated.
+    """
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
+    if a.n > budget:
+        raise BudgetExceededError("input states", budget)
+
+
 def determinize(a, budget=DEFAULT_BUDGET):
     """Subset construction; result states are reachable subsets in BFS order."""
-    return determinize_subsets(a, budget)[0]
+    return _determinize(a, budget)[0]
 
 
 def determinize_subsets(a, budget=DEFAULT_BUDGET):
     """Like determinize, but also returns the subset behind each DFA state."""
+    dfa, subsets = _determinize(a, budget)
+    return dfa, tuple(frozenset(bits(s)) for s in subsets)
+
+
+def _determinize(a, budget):
+    """The determinized DFA and the bitmask subset behind each of its states."""
+    check_budget(a, budget)
     a = as_nfa(a)
     init = a.init_mask()
     if init == 0:
-        return empty_language_dfa(a.alphabet), (frozenset(),)
+        return empty_language_dfa(a.alphabet), (0,)
     delta, subsets = kernels.subset_construction(a.n, a.k, a.succ_masks(), init, budget)
     fmask = a.final_mask()
     final = [i for i, s in enumerate(subsets) if s & fmask]
-    dfa = Dfa(a.alphabet, len(subsets), delta, 0, final)
-    sets = tuple(frozenset(bits(s)) for s in subsets)
-    return dfa, sets
+    return Dfa(a.alphabet, len(subsets), delta, 0, final), subsets
+
+
+def strong_components(a):
+    """Strongly connected components of a's transition graph, letters ignored.
+
+    An iterative Tarjan, so a long path needs no deep recursion.  Returns
+    (comps, comp_of, below): comps[i] lists the members of component i,
+    comp_of[q] is the component of state q, and below[i] is a tuple of the
+    other components that an edge from component i enters.  Components
+    come in reverse topological order: every j in below[i] is below i.
+    No mask sized by n is built per component, so n states without edges
+    cost O(n), not O(n²).
+    """
+    a = as_nfa(a)
+    n = a.n
+    k = a.k
+    succ = a.succ_masks()
+    adj = list(succ[0::k])
+    for x in range(1, k):
+        adj = list(map(or_, adj, succ[x::k]))
+    index = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    comps = []
+    below = []
+    stack = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        if not adj[root]:
+            # no edge out, so a component of its own: the common case of
+            # states that a header declares and no transition uses
+            index[root] = counter
+            counter += 1
+            comp_of[root] = len(comps)
+            comps.append([root])
+            below.append(())
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, bits(adj[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, bits(adj[w])))
+                    break
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    c = len(comps)
+                    members = []
+                    out = 0
+                    while True:
+                        w = stack.pop()
+                        comp_of[w] = c
+                        members.append(w)
+                        out |= adj[w]
+                        if w == v:
+                            break
+                    comps.append(members)
+                    below.append(tuple({comp_of[q] for q in bits(out)} - {c}) if out else ())
+    return comps, comp_of, below
 
 
 def minimize(d):

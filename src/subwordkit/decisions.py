@@ -27,9 +27,11 @@ from .core import (
     Dfa,
     Word,
     as_nfa,
+    check_budget,
     complement,
     completed,
     sigma_star_dfa,
+    strong_components,
 )
 from .closures import down_closure, up_closure
 from .kernels import bits, step
@@ -65,6 +67,8 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
     Runs a breadth-first search over pairs of powerset states, built on
     the fly, so neither side is determinised up front.
     """
+    check_budget(a, budget)
+    check_budget(b, budget)
     a = as_nfa(a)
     b = as_nfa(b)
     if a.alphabet != b.alphabet:
@@ -112,6 +116,7 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
 def is_closed(a, direction, budget=DEFAULT_BUDGET):
     """Is L(a) up- or down-closed?  The closure always contains L, so this
     reduces to emptiness of closure(L) ∖ L."""
+    check_budget(a, budget)
     a = as_nfa(a)
     _check_direction(direction)
     w = shortest_in_difference(_closure_nfa(a, direction), a, budget)
@@ -221,6 +226,8 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     decreasing, but it may bottom out at the empty set, which costs one
     extra letter over the strict bound one would get otherwise.
     """
+    check_budget(a, budget)
+    check_budget(b, budget)
     a = as_nfa(a)
     b = as_nfa(b)
     _check_direction(direction)
@@ -248,39 +255,37 @@ def down_universal(a, budget=DEFAULT_BUDGET):
     Decided on the graph alone: the down-closure is universal iff some
     useful state q can, for every letter a, reach a transition labelled a
     and come back (then arbitrarily long words embed into words of L).
-    The witness of a negative answer is the shortest word missing from
-    the down-closure.
+    Such a transition lies inside q's strongly connected component, so
+    the test runs once per component: it must be reachable from an
+    initial state, reach a final state, and hold an internal transition
+    for every letter.  The witness of a negative answer is the shortest
+    word missing from the down-closure.
     """
+    check_budget(a, budget)
     a = as_nfa(a)
-    n = a.n
     k = a.k
     succ = a.succ_masks()
-    # one-letter table: the successors of q on any letter
-    anyx = [0] * n
-    for q in range(n):
-        for x in range(k):
-            anyx[q] |= succ[q * k + x]
-    reach = []
-    for s in range(n):
-        m = frontier = 1 << s
-        while frontier:
-            frontier = step(anyx, 1, frontier, 0) & ~m
-            m |= frontier
-        reach.append(m)
-    fin = a.final_mask()
-    fwd = 0
+    comps, comp_of, below = strong_components(a)
+    # co[i]: component i reaches a final state; `below` comes first
+    co = []
+    for i, members in enumerate(comps):
+        co.append(not a.final.isdisjoint(members) or any(co[j] for j in below[i]))
+    # fwd[i]: component i is reachable from an initial state; the
+    # reversed component order is topological
+    fwd = [False] * len(comps)
     for q in bits(a.init_mask()):
-        fwd |= reach[q]
-    by_letter = [[] for _ in range(k)]
-    for p, x, q in a.transitions:
-        by_letter[x].append((p, q))
-    for q in range(n):
-        if not (fwd >> q) & 1 or not reach[q] & fin:
+        fwd[comp_of[q]] = True
+    for i in reversed(range(len(comps))):
+        if fwd[i]:
+            for j in below[i]:
+                fwd[j] = True
+    for i, members in enumerate(comps):
+        if not (fwd[i] and co[i]):
             continue
-        rq = reach[q]
-        if all(
-            any((rq >> u) & 1 and (reach[v] >> q) & 1 for u, v in by_letter[x])
-            for x in range(k)):
+        inside = 0
+        for p in members:
+            inside |= 1 << p
+        if all(any(succ[p * k + x] & inside for p in members) for x in range(k)):
             return Certificate(True)
     w = shortest_in_difference(sigma_star_dfa(a.alphabet), down_closure(a), budget)
     return Certificate(False, w)

@@ -29,6 +29,7 @@ from .core import (
     Nfa,
     StateSet,
     as_nfa,
+    check_budget,
     complement,
     determinize,
     minimize,
@@ -166,6 +167,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
     {delta2(S, z) | z ∈ K_j} are computed by exploring the product of the
     powerset automaton with K_j, memoised per (S, j).
     """
+    check_budget(a, budget)
     a = as_nfa(a)
     if a.alphabet != spec.source:
         raise InputError("automaton is not over the substitution's source alphabet")

@@ -95,6 +95,51 @@ def up_member(a, w):
     return any(cur & final for cur in frontier)
 
 
+def _reach_sets(trans, n):
+    """reach[s] = the states reachable from s (s included), per-state DFS."""
+    fwd = {}
+    for p, _, q in trans:
+        fwd.setdefault(p, set()).add(q)
+    reach = []
+    for s in range(n):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for q in fwd.get(stack.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        reach.append(seen)
+    return reach
+
+
+def down_closure_saturation(a):
+    """Triples and final states of the down-closure NFA, by saturation.
+
+    Deleting a letter is a silent step along any edge, so s gets (s, x, q)
+    for every (p, x, q) with p reachable from s, and s is final when it
+    reaches a final state.  Materialises about n²/2 triples on a path.
+    """
+    trans, _, final, n, _ = _as_triples(a)
+    reach = _reach_sets(trans, n)
+    triples = {(s, x, q) for p, x, q in trans for s in range(n) if p in reach[s]}
+    return frozenset(triples), frozenset(s for s in range(n) if reach[s] & final)
+
+
+def up_closure_saturation(a):
+    """Triples of the up-closure NFA: a self-loop on every letter everywhere."""
+    trans, _, _, n, alphabet = _as_triples(a)
+    return frozenset(trans | {(q, x, q) for q in range(n) for x in range(alphabet.k)})
+
+
+def strong_components_naive(a):
+    """The strongly connected components as a set of frozensets, by
+    mutual reachability."""
+    trans, _, _, n, _ = _as_triples(a)
+    reach = _reach_sets(trans, n)
+    return {frozenset(q for q in reach[s] if s in reach[q]) for s in range(n)}
+
+
 def minimal_dfa_size(d):
     """Minimal partial-DFA state count for L(d), by Moore refinement.
 

@@ -192,6 +192,16 @@ def test_budget_exit_code(capsys, tmp_path):
     assert code == 3 and "budget" in err
 
 
+def test_declared_state_count_is_checked_against_the_budget(capsys, tmp_path):
+    # no transitions: the states header alone is over the budget
+    f = tmp_path / "wide.aut"
+    f.write_text("alphabet a b\nstates 101\ninitial 0\nfinal 0\n")
+    code, _, err = run(capsys, ["closure", "down", "--in", str(f), "--budget", "100"])
+    assert code == 3 and "input states exceeded budget of 100" in err
+    code, _, _ = run(capsys, ["closure", "down", "--in", str(f), "--budget", "101"])
+    assert code == 0
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 @pytest.mark.parametrize("argv", [
     ["closure", "down"], ["interior", "up"], ["minimize"],

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from subwordkit import (
     BudgetExceededError, InputError, Nfa, accepts, auto_alphabet,
@@ -9,7 +11,10 @@ from subwordkit import (
 )
 from subwordkit.experiments import random_nfa
 
-from oracles import all_words, down_member, up_member
+from oracles import (
+    all_words, down_closure_saturation, down_member, up_closure_saturation, up_member,
+)
+from strategies import nfas
 
 
 def test_up_closure_membership_semantics():
@@ -154,3 +159,33 @@ def test_up_closure_members_embed_some_generator():
     gens = [e.alphabet.word("a1", "a1"), e.alphabet.word("a2", "a2")]
     for w in all_words(e.alphabet, 5):
         assert accepts(d, w) == any(embeds(g, w) for g in gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+def test_closures_match_the_saturation_oracle(a):
+    down = down_closure(a)
+    triples, final = down_closure_saturation(a)
+    assert down.transitions == triples
+    assert (down.n, down.initial, down.final) == (a.n, a.initial, final)
+    assert down == Nfa(a.alphabet, a.n, triples, a.initial, final)
+    up = up_closure(a)
+    assert up.transitions == up_closure_saturation(a)
+    assert (up.n, up.initial, up.final) == (a.n, a.initial, a.final)
+
+
+def test_down_closure_dfa_of_a_path_stays_small_in_memory():
+    # The closure NFA of an n-state path has about n²/2 transitions; kept
+    # as n·k successor masks it costs a few hundred kilobytes here.
+    rng = random.Random(5)
+    n = 400
+    a = Nfa(auto_alphabet(2), n, {(i, rng.randrange(2), i + 1) for i in range(n - 1)},
+            {0}, {n - 1})
+    tracemalloc.start()
+    try:
+        d = closure_dfa(a, "down")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n == n
+    assert peak < 2_000_000

@@ -1,6 +1,9 @@
+import copy
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
 
 from subwordkit import (
     Alphabet, BudgetExceededError, Dfa, InputError, Nfa, Word, accepts, as_nfa,
@@ -9,12 +12,15 @@ from subwordkit import (
     equivalent, intersect, is_unambiguous, map_symbols, minimize,
     sigma_star_dfa, trim,
 )
+from subwordkit.closures import down_closure
+from subwordkit.core import strong_components
 from subwordkit.experiments import random_dfa, random_nfa
 
 from oracles import (
     accepts_naive, all_words, count_accepting_runs, language_upto,
-    minimal_dfa_size,
+    minimal_dfa_size, strong_components_naive,
 )
+from strategies import nfas
 
 
 def test_alphabet_basics():
@@ -65,6 +71,64 @@ def test_nfa_validation():
         Nfa(ab, 2, {(0, 2, 1)}, {0}, {1})
     with pytest.raises(InputError):
         Nfa(ab, 1, set(), {1}, set())
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+def test_nfa_from_masks_equals_nfa_from_triples(a):
+    b = Nfa._of_masks(a.alphabet, a.n, a.succ_masks(), a.initial, a.final)
+    assert b._transitions is None  # derived only on demand
+    assert b.transitions == a.transitions
+    assert b.transitions_sorted() == sorted(a.transitions)
+    assert a == b and hash(a) == hash(b)
+    c = Nfa(a.alphabet, a.n, b.transitions, a.initial, a.final)
+    assert c == b and hash(c) == hash(b)
+    assert copy.deepcopy(b) == a
+    if a.n:
+        extra = (0, 0, a.n - 1)
+        other = Nfa(a.alphabet, a.n, a.transitions ^ {extra}, a.initial, a.final)
+        assert other != b
+
+
+def test_nfa_is_immutable_and_dfa_converts_to_equal_masks():
+    rng = random.Random(3)
+    for _ in range(50):
+        d = random_dfa(rng, rng.randint(1, 8), rng.randint(1, 3))
+        a = d.to_nfa()
+        b = Nfa(d.alphabet, d.n, set(d.transitions()), {d.initial}, d.final)
+        assert a == b and hash(a) == hash(b)
+        assert a.transitions == b.transitions
+    with pytest.raises(FrozenInstanceError):
+        a.n = 3
+    with pytest.raises(FrozenInstanceError):
+        a.transitions = frozenset()
+    with pytest.raises(FrozenInstanceError):
+        del a.final
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+def test_strong_components_match_mutual_reachability(a):
+    comps, comp_of, below = strong_components(a)
+    assert {frozenset(c) for c in comps} == strong_components_naive(a)
+    assert all(comp_of[q] == i for i, c in enumerate(comps) for q in c)
+    entered = [set() for _ in comps]
+    for p, _, q in a.transitions:
+        if comp_of[p] != comp_of[q]:
+            entered[comp_of[p]].add(comp_of[q])
+    assert [set(b) for b in below] == entered
+    assert all(j < i for i, b in enumerate(below) for j in b)
+
+
+def test_strong_components_of_a_long_path_need_no_recursion():
+    n = 5000
+    a = Nfa(auto_alphabet(2), n, {(i, i % 2, i + 1) for i in range(n - 1)}, {0}, {n - 1})
+    comps, comp_of, below = strong_components(a)
+    assert comps == [[q] for q in reversed(range(n))]
+    assert below == [()] + [(i - 1,) for i in range(1, n)]
+    d = down_closure(a)
+    assert d.final == frozenset(range(n))
+    assert d.succ_masks()[0] == sum(1 << (i + 1) for i in range(0, n - 1, 2))
 
 
 def test_dfa_construction_mapping_and_flat():
@@ -163,6 +227,17 @@ def test_determinize_budget():
     with pytest.raises(BudgetExceededError):
         determinize(a, budget=500)
     assert determinize(a, budget=2048).n >= 512
+
+
+def test_determinize_checks_the_input_size_first():
+    a = Nfa(auto_alphabet(2), 101, (), {0}, {0})
+    with pytest.raises(BudgetExceededError) as exc:
+        determinize(a, budget=100)
+    assert exc.value.what == "input states"
+    assert determinize(a, budget=101).n == 1
+    for budget in (0, -5):
+        with pytest.raises(InputError):
+            determinize(a, budget=budget)
 
 
 def test_minimize_size_matches_moore_oracle():

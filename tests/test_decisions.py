@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from subwordkit import (
     BudgetExceededError, Certificate, InputError, Nfa, accepts,
@@ -11,6 +12,7 @@ from subwordkit import (
 from subwordkit.experiments import random_dfa, random_nfa
 
 from oracles import all_words, down_member, up_member
+from strategies import nfas
 
 
 def test_certificate_invariants():
@@ -207,6 +209,38 @@ def test_down_universal_agrees_with_closure_oracle():
             assert not down_member(a, w)
             for x in all_words(a.alphabet, len(w) - 1):
                 assert down_member(a, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+def test_down_universal_agrees_with_the_closure_dfa(a):
+    from subwordkit import equivalent
+    cert = down_universal(a)
+    assert cert.verdict == equivalent(closure_dfa(a, "down"), sigma_star_dfa(a.alphabet))
+    if not cert.verdict:
+        assert not down_member(a, cert.witness)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_decisions_reject_nonpositive_budgets(budget):
+    a = gen_family("D", 3)
+    for decide in (lambda: is_closed(a, "down", budget),
+                   lambda: closure_inclusion(a, a, "up", budget),
+                   lambda: down_universal(a, budget),
+                   lambda: shortest_in_difference(a, a, budget)):
+        with pytest.raises(InputError):
+            decide()
+
+
+def test_decisions_check_the_input_size_first():
+    a = gen_family("D", 3)
+    big = Nfa(a.alphabet, 101, (), {0}, {0})
+    for decide in (lambda: is_closed(big, "down", 100),
+                   lambda: closure_inclusion(a, big, "down", 100),
+                   lambda: down_universal(big, 100)):
+        with pytest.raises(BudgetExceededError) as exc:
+            decide()
+        assert exc.value.what == "input states"
 
 
 def test_unary_closure_equal_reduces_to_extremal_lengths():

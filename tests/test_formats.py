@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -39,6 +40,21 @@ def test_round_trip_random():
         d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
         d2 = parse_dfa(serialize_automaton(d))
         assert isinstance(d2, Dfa) and d2 == d
+
+
+def test_serializing_a_long_dfa_builds_no_mask_table():
+    # A bitmask per edge would hold about n²/2 bits on a path; the
+    # triples of a DFA are linear in its size.
+    n = 20000
+    d = Dfa(auto_alphabet(2), n, {(i, i % 2): i + 1 for i in range(n - 1)}, 0, {n - 1})
+    tracemalloc.start()
+    try:
+        text = serialize_automaton(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 4 + n - 1
+    assert peak < 15_000_000
 
 
 def test_serialize_is_canonical_and_newline_terminated():

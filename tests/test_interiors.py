@@ -126,6 +126,15 @@ def test_interior_budget():
         down_interior(a, "antichain", budget=10)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_interiors_reject_nonpositive_budgets(budget):
+    a = gen_family("D", 3)
+    for interior in (up_interior, down_interior):
+        for method in ("antichain", "duality"):
+            with pytest.raises(InputError):
+                interior(a, method, budget)
+
+
 def test_substitution_preimage_rejects_alphabet_mismatch():
     a = gen_family("U", 2)
     with pytest.raises(InputError):
