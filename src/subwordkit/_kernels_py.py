@@ -1,7 +1,14 @@
 """The kernels: the hot loops of the package, on flat integer tables.
 
-Six entry points, reached through `subwordkit.kernels`:
+Seven entry points, reached through `subwordkit.kernels`:
 
+- `explore`, the one numbering loop: every construction that numbers
+  states (subset construction, both passes of `dfa_minimize`, the cone,
+  the interior antichains, the product DFA) hands it a successor function.
+  The states reachable from the start are numbered in BFS order, letters
+  scanned in index order, and a construction holds at most `budget`
+  states: the state that would be number budget + 1 raises
+  BudgetExceededError(what, budget) instead;
 - `step` and `bits`, the powerset primitives: a state set is an int
   bitmask, and every membership run and product search in the package
   moves a set by a letter with `step` (subset construction, which needs
@@ -12,7 +19,37 @@ Six entry points, reached through `subwordkit.kernels`:
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import BudgetExceededError
+
+
+def explore(start, successors, budget, what, missing=None):
+    """Number the states reachable from `start`, in BFS order.
+
+    successors(state) returns the targets of a state, one per letter in
+    letter order; a target equal to `missing` is a missing edge.  States
+    are hashable.  Returns (states, delta): states[i] is state i, states[0]
+    is start, and delta is the flat array('i') of target numbers, state by
+    state and letter by letter, -1 for a missing edge.  Raises
+    BudgetExceededError(what, budget) when state number budget + 1 would
+    appear.
+    """
+    idx = {missing: -1, start: 0}  # a missing target numbers -1
+    states = [start]
+    delta = array("i")
+    append = delta.append
+    for state in states:
+        for t in successors(state):
+            j = idx.get(t)
+            if j is None:
+                j = len(states)
+                if j >= budget:
+                    raise BudgetExceededError(what, budget)
+                idx[t] = j
+                states.append(t)
+            append(j)
+    return states, delta
 
 
 def step(succ, k, mask, a):
@@ -46,22 +83,16 @@ def is_subword(x, y):
 
 
 def subset_construction(n, k, succ, init_mask, budget):
-    """Powerset construction over bitmask subsets, BFS order.
+    """Powerset construction over bitmask subsets, numbered by `explore`.
 
-    succ is the flat successor table of `step`.  Empty successor subsets
-    are never materialised (partial rows get -1).  Returns (delta,
-    subsets): delta flat len(subsets)*k, subsets[i] the bitmask behind DFA
-    state i, subsets[0] == init_mask (must be nonzero).
-    Raises BudgetExceededError once more than `budget` subsets appear.
-    Each subset's bits are walked once, OR-ing each member's whole row of
-    k successor masks into the k targets.
+    succ is the flat successor table of `step`; init_mask must be nonzero.
+    The empty subset is never a state: edges into it are -1.  Returns (delta,
+    subsets), subsets[i] the bitmask behind DFA state i.  Each subset's
+    bits are walked once, OR-ing each member's whole row of k successor
+    masks into the k targets.
     """
-    idx = {init_mask: 0}
-    subsets = [init_mask]
-    delta = []
-    pos = 0
-    while pos < len(subsets):
-        s = subsets[pos]
+
+    def successors(s):
         row = [0] * k
         while s:
             low = s & -s
@@ -69,19 +100,10 @@ def subset_construction(n, k, succ, init_mask, budget):
             for a in range(k):
                 row[a] |= succ[base + a]
             s ^= low
-        for t in row:
-            if t == 0:
-                delta.append(-1)
-                continue
-            j = idx.get(t)
-            if j is None:
-                j = len(subsets)
-                if j >= budget:
-                    raise BudgetExceededError("determinization subset states", budget)
-                idx[t] = j
-                subsets.append(t)
-            delta.append(j)
-        pos += 1
+        return row
+
+    subsets, delta = explore(init_mask, successors, budget,
+                             "determinization subset states", missing=0)
     return delta, subsets
 
 
@@ -95,30 +117,17 @@ def dfa_minimize(n, k, delta, initial, finals):
     Returns (n2, delta2, finals2); the empty language yields one non-final
     state with no transitions.
     """
-    # Restrict to states reachable from the initial one.
-    order = [initial]
-    seen = {initial}
-    for q in order:
-        base = q * k
-        for a in range(k):
-            t = delta[base + a]
-            if t >= 0 and t not in seen:
-                seen.add(t)
-                order.append(t)
-    remap = {q: i for i, q in enumerate(order)}
+    # Restrict to states reachable from the initial one, renumbered.  Both
+    # explore calls have a budget no count can reach: they only number.
+    order, reached = explore(initial, lambda q: delta[q * k:q * k + k], n,
+                             "reachable states", missing=-1)
     m = len(order)
     sink = m
     big = m + 1
-    d = [sink] * (big * k)
-    for i, q in enumerate(order):
-        base = q * k
-        for a in range(k):
-            t = delta[base + a]
-            if t >= 0:
-                d[i * k + a] = remap[t]
-    for a in range(k):
-        d[sink * k + a] = sink
-    fin = sorted(remap[q] for q in set(finals) if q in remap)
+    d = [sink if t < 0 else t for t in reached]
+    d.extend([sink] * k)
+    final_in = set(finals)
+    fin = [i for i, q in enumerate(order) if q in final_in]
 
     # Inverse edges, CSR per (target, symbol).  The completed DFA has exactly
     # big*k edges.
@@ -196,25 +205,14 @@ def dfa_minimize(n, k, delta, initial, finals):
     binit = blk[0]
     if binit == bsink:
         return 1, [-1] * k, []
-    # BFS renumber over the quotient, skipping the sink class.
-    bidx = {binit: 0}
-    border = [binit]
-    out = []
-    for b in border:
-        rep = elems[first[b]]
-        base = rep * k
-        for a in range(k):
-            tb = blk[d[base + a]]
-            if tb == bsink:
-                out.append(-1)
-                continue
-            j = bidx.get(tb)
-            if j is None:
-                j = len(border)
-                bidx[tb] = j
-                border.append(tb)
-            out.append(j)
-    finals2 = sorted({bidx[blk[q]] for q in fin})
+    # Renumber the quotient, skipping the sink class.
+    def block_row(b):
+        base = elems[first[b]] * k
+        return [blk[t] for t in d[base:base + k]]
+
+    border, out = explore(binit, block_row, big, "quotient states", missing=bsink)
+    final_blocks = {blk[q] for q in fin}
+    finals2 = [i for i, b in enumerate(border) if b in final_blocks]
     return len(border), out, finals2
 
 
@@ -222,39 +220,31 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     """Minimal DFA of the upward closure of a finite word set.
 
     States are inclusion-minimal antichains of pending suffixes, as sorted
-    tuples of suffix ids (ids key distinct suffix CONTENT, so distinct states
-    have distinct residuals and the construction is already minimal and in
-    canonical BFS order).  nxt is flat num_suffixes*k: where suffix s moves
-    on symbol a (s itself unless a matches its head; the empty suffix maps to
-    itself).  dom_masks[s] = bitmask of ids whose suffix embeds into s's
-    (strict dominators; such members are dropped).  start must already be
-    reduced.  The one final state, if reachable, is the antichain {empty}.
+    tuples of suffix ids, numbered by `explore` (ids key distinct suffix
+    CONTENT, so distinct states have distinct residuals and the
+    construction is already minimal and canonical).  nxt is flat
+    num_suffixes*k: where suffix s moves on symbol a (s itself unless a
+    matches its head; the empty suffix maps to itself).  dom_masks[s] =
+    bitmask of ids whose suffix embeds into s's (strict dominators; such
+    members are dropped).  start must already be reduced.  The one final
+    state, if reachable, is the antichain {empty}.
     """
-    start_t = tuple(sorted(start))
-    idx = {start_t: 0}
-    states = [start_t]
-    delta = []
-    finals = []
-    pos = 0
-    while pos < len(states):
-        st = states[pos]
-        if len(st) == 1 and st[0] == eps_id:
-            finals.append(pos)
-        for a in range(k):
-            members = sorted({nxt[s * k + a] for s in st})
+    cols = [nxt[a::k] for a in range(k)]  # cols[a][s] = nxt[s*k + a]
+
+    def successors(st):
+        out = []
+        for col in cols:
+            members = {col[s] for s in st}
             if len(members) > 1:
                 mask = 0
                 for s in members:
                     mask |= 1 << s
                 members = [s for s in members if not (dom_masks[s] & mask)]
-            t = tuple(members)
-            j = idx.get(t)
-            if j is None:
-                j = len(states)
-                if j >= budget:
-                    raise BudgetExceededError("closure antichain states", budget)
-                idx[t] = j
-                states.append(t)
-            delta.append(j)
-        pos += 1
+            out.append(tuple(sorted(members)))
+        return out
+
+    states, delta = explore(tuple(sorted(start)), successors, budget,
+                            "closure antichain states")
+    final = (eps_id,)
+    finals = [i for i, st in enumerate(states) if st == final]
     return len(states), delta, finals

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, InputError, VerificationError
-from .core import DEFAULT_BUDGET, as_nfa, canonical_dfa
+from .core import DEFAULT_BUDGET, canonical_dfa
 from .closures import closure_dfa, down_closure, up_closure
 from .interiors import down_interior, up_interior
 from .witnesses import FAMILY_NAMES, FOOLING_NAMES, fooling_for, gen_family
@@ -134,9 +134,9 @@ def _default_instance(family, param):
     if family in ("U", "V", "Uprime", "E", "D", "notU"):
         return gen_family(family, param)
     if family == "downD":
-        return down_closure(as_nfa(gen_family("D", param)))
+        return down_closure(gen_family("D", param))
     if family == "upE":
-        return up_closure(as_nfa(gen_family("E", param)))
+        return up_closure(gen_family("E", param))
     raise InputError(f"no default instance for family {family!r}")
 
 

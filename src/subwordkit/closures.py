@@ -92,30 +92,14 @@ def _finite_language(a):
     t = trim(a)
     if t.n == 0:
         return []
+    # acyclic: no state with a self-loop, and every component one state
+    k = t.k
+    if (any(m >> (i // k) & 1 for i, m in enumerate(t.succ_masks()))
+            or len(strong_components(t)[0]) < t.n):
+        return None
     succ = {}
     for p, x, q in t.transitions:
         succ.setdefault(p, []).append((x, q))
-    # cycle check (iterative three-colour DFS)
-    color = [0] * t.n
-    for root in range(t.n):
-        if color[root]:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            p, i = stack[-1]
-            edges = succ.get(p, ())
-            if i == len(edges):
-                color[p] = 2
-                stack.pop()
-                continue
-            stack[-1] = (p, i + 1)
-            q = edges[i][1]
-            if color[q] == 1:
-                return None
-            if color[q] == 0:
-                color[q] = 1
-                stack.append((q, 0))
     words = set()
     steps = 0
     stack = [(q, ()) for q in sorted(t.initial)]

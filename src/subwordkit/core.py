@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import BudgetExceededError, InputError
 from . import kernels
-from .kernels import bits, step
+from .kernels import bits, explore, step
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -245,7 +245,9 @@ class Dfa:
                     raise InputError(f"transition key ({q},{a}) out of range")
                 flat[q * k + a] = t
         else:
-            flat = list(delta)
+            # an array('i') from a kernel is kept as it is: listing it would
+            # box every entry as an int object
+            flat = delta if isinstance(delta, array) else list(delta)
             if len(flat) != n * k:
                 raise InputError(f"flat delta must have n*k = {n * k} entries, got {len(flat)}")
         for t in flat:
@@ -517,29 +519,18 @@ def intersect(d1, d2):
     if d1.alphabet != d2.alphabet:
         raise InputError("intersect needs a common alphabet")
     k = d1.k
-    idx = {(d1.initial, d2.initial): 0}
-    order = [(d1.initial, d2.initial)]
-    delta = {}
-    pos = 0
-    while pos < len(order):
-        p, q = order[pos]
-        for a in range(k):
-            t1 = d1._delta[p * k + a]
-            if t1 < 0:
-                continue
-            t2 = d2._delta[q * k + a]
-            if t2 < 0:
-                continue
-            t = (t1, t2)
-            j = idx.get(t)
-            if j is None:
-                j = len(order)
-                idx[t] = j
-                order.append(t)
-            delta[(pos, a)] = j
-        pos += 1
-    final = [i for i, (p, q) in enumerate(order) if p in d1.final and q in d2.final]
-    return Dfa(d1.alphabet, len(order), delta, 0, final)
+    delta1, delta2 = d1._delta, d2._delta
+
+    def successors(pair):
+        p, q = pair
+        return [(t1, t2) if t1 >= 0 and t2 >= 0 else None
+                for t1, t2 in zip(delta1[p * k:p * k + k], delta2[q * k:q * k + k])]
+
+    # d1.n * d2.n pairs exist, so the budget never stops the product
+    pairs, delta = explore((d1.initial, d2.initial), successors, d1.n * d2.n,
+                           "product states")
+    final = [i for i, (p, q) in enumerate(pairs) if p in d1.final and q in d2.final]
+    return Dfa(d1.alphabet, len(pairs), delta, 0, final)
 
 
 def equivalent(a, b, budget=DEFAULT_BUDGET):

@@ -29,7 +29,6 @@ from .core import (
     Nfa,
     Word,
     accepts,
-    as_nfa,
     auto_alphabet,
     canonical_dfa,
     enumerate_upto,
@@ -358,9 +357,9 @@ def _exp_ufa(rank_ns=(1, 2, 3, 4), instance_ns=(1, 2, 3), budget=None):
     for n in instance_ns:
         cases = (
             ("notU", gen_family("notU", n), fooling_for("notU", n), False, 2 ** n - 1),
-            ("downD", down_closure(as_nfa(gen_family("D", n))), fooling_for("downD", n),
+            ("downD", down_closure(gen_family("D", n)), fooling_for("downD", n),
              False, 2 ** n),
-            ("upE", up_closure(as_nfa(gen_family("E", n))), fooling_for("upE", n),
+            ("upE", up_closure(gen_family("E", n)), fooling_for("upE", n),
              True, 2 ** n + 1),
         )
         for name, a, s, excluded, want in cases:
@@ -381,7 +380,7 @@ def _closed_by_enumeration(a, direction, cap=6):
                 if w[:pos] + w[pos + 1:] not in accepted:
                     return False
         return True
-    k = as_nfa(a).k
+    k = a.k
     for w in accepted:
         if len(w) >= cap:
             continue

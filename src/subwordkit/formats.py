@@ -126,15 +126,25 @@ def parse_dfa(text):
     return _parse(text, require_dfa=True)
 
 
+def _sorted_parts(a):
+    """(alphabet, n, sorted initial states, final set, transitions sorted by
+    source, symbol, target) of an automaton.  A Dfa's come straight from
+    its flat table, which is already in that order."""
+    if isinstance(a, Dfa):
+        return a.alphabet, a.n, [a.initial], a.final, a.transitions()
+    nfa = as_nfa(a)
+    return nfa.alphabet, nfa.n, sorted(nfa.initial), nfa.final, nfa.transitions_sorted()
+
+
 def serialize_automaton(a):
     """Canonical text form of an automaton (Nfa or Dfa)."""
-    nfa = as_nfa(a)
-    out = ["alphabet " + " ".join(nfa.alphabet.symbols)]
-    out.append(f"states {nfa.n}")
-    out.append(("initial " + " ".join(str(q) for q in sorted(nfa.initial))).rstrip())
-    out.append(("final " + " ".join(str(q) for q in sorted(nfa.final))).rstrip())
-    names = nfa.alphabet.symbols
-    for p, x, q in nfa.transitions_sorted():
+    alphabet, n, initial, final, transitions = _sorted_parts(a)
+    out = ["alphabet " + " ".join(alphabet.symbols)]
+    out.append(f"states {n}")
+    out.append(("initial " + " ".join(str(q) for q in initial)).rstrip())
+    out.append(("final " + " ".join(str(q) for q in sorted(final))).rstrip())
+    names = alphabet.symbols
+    for p, x, q in transitions:
         out.append(f"{p} {names[x]} {q}")
     return "\n".join(out) + "\n"
 
@@ -143,17 +153,17 @@ def render_dot(a):
     """Graphviz digraph for an automaton.  Finals are double circles and
     initial states get an arrow from an invisible point; parallel edges
     are grouped into one arrow with a comma-separated label."""
-    nfa = as_nfa(a)
-    names = nfa.alphabet.symbols
+    alphabet, n, initial, final, transitions = _sorted_parts(a)
+    names = alphabet.symbols
     out = ["digraph automaton {", "  rankdir=LR;"]
-    for q in range(nfa.n):
-        shape = "doublecircle" if q in nfa.final else "circle"
+    for q in range(n):
+        shape = "doublecircle" if q in final else "circle"
         out.append(f"  {q} [shape={shape}];")
-    for i, q in enumerate(sorted(nfa.initial)):
+    for i, q in enumerate(initial):
         out.append(f"  __start{i} [shape=point, style=invis];")
         out.append(f"  __start{i} -> {q};")
     grouped = {}
-    for p, x, q in nfa.transitions_sorted():
+    for p, x, q in transitions:
         grouped.setdefault((p, q), []).append(x)
     for (p, q), xs in sorted(grouped.items()):
         label = ",".join(names[x] for x in sorted(xs))

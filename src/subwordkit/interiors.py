@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .core import (
     Alphabet,
     Dfa,
@@ -36,7 +36,7 @@ from .core import (
     DEFAULT_BUDGET,
 )
 from .closures import closure_dfa
-from .kernels import bits, step
+from .kernels import bits, explore, step
 
 DEFAULT_ANTICHAIN_BUDGET = 1 << 16
 
@@ -224,27 +224,17 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
         keep.sort(key=lambda m: (bin(m).count("1"), tuple(bits(m))))
         return tuple(keep)
 
-    start = reduce_masks(reach(a.init_mask(), 0))
-    idx = {start: 0}
-    order = [start]
-    delta = {}
-    pos = 0
-    while pos < len(order):
-        state = order[pos]
-        for j in range(spec.gamma.k):
+    def successors(state):
+        out = []
+        for j in range(1, spec.gamma.k + 1):
             masks = set()
             for m in state:
-                masks |= reach(m, j + 1)
-            target = reduce_masks(masks)
-            t = idx.get(target)
-            if t is None:
-                if len(order) >= budget:
-                    raise BudgetExceededError("interior antichain states", budget)
-                t = len(order)
-                idx[target] = t
-                order.append(target)
-            delta[(pos, j)] = t
-        pos += 1
+                masks |= reach(m, j)
+            out.append(reduce_masks(masks))
+        return out
+
+    start = reduce_masks(reach(a.init_mask(), 0))
+    order, delta = explore(start, successors, budget, "interior antichain states")
     final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
     dfa = Dfa(spec.gamma, len(order), delta, 0, final)
     return minimize(dfa) if minimized else dfa

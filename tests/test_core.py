@@ -7,14 +7,15 @@ from hypothesis import given, settings
 
 from subwordkit import (
     Alphabet, BudgetExceededError, Dfa, InputError, Nfa, Word, accepts, as_nfa,
-    auto_alphabet, canonical_dfa, complement, completed, determinize,
-    determinize_subsets, dfa_from_words, empty_language_dfa, enumerate_upto,
-    equivalent, intersect, is_unambiguous, map_symbols, minimize,
-    sigma_star_dfa, trim,
+    auto_alphabet, canonical_dfa, closure_dfa, complement, completed, determinize,
+    determinize_subsets, dfa_from_words, down_interior, empty_language_dfa,
+    enumerate_upto, equivalent, gen_family, intersect, is_unambiguous, map_symbols,
+    minimize, sigma_star_dfa, trim, up_interior,
 )
 from subwordkit.closures import down_closure
 from subwordkit.core import strong_components
 from subwordkit.experiments import random_dfa, random_nfa
+from subwordkit.kernels import explore
 
 from oracles import (
     accepts_naive, all_words, count_accepting_runs, language_upto,
@@ -238,6 +239,53 @@ def test_determinize_checks_the_input_size_first():
     for budget in (0, -5):
         with pytest.raises(InputError):
             determinize(a, budget=budget)
+
+
+def test_explore_numbers_in_bfs_letter_order_within_the_budget():
+    graph = {"r": ("b", "a"), "a": ("x", "r"), "b": ("c", "x"), "c": ("a", "c")}
+    expanded = []
+
+    def successors(state):
+        expanded.append(state)
+        return graph[state]
+
+    states, delta = explore("r", successors, 4, "test states", missing="x")
+    assert states == ["r", "b", "a", "c"]
+    assert list(delta) == [1, 2, 3, -1, -1, 0, 2, 3]
+    assert expanded == states
+    with pytest.raises(BudgetExceededError) as exc:
+        explore("r", graph.__getitem__, 3, "test states", missing="x")
+    assert (exc.value.what, exc.value.budget) == ("test states", 3)
+    # without `missing`, None is the missing edge
+    states, delta = explore(0, lambda s: [s + 1 if s < 2 else None], 3, "test states")
+    assert states == [0, 1, 2] and list(delta) == [1, 2, -1]
+
+
+# Each construction holds exactly `count` states: that budget is enough, one
+# less stops it with the construction's own label.
+BUDGET_CASES = [
+    # the down-closure NFA of D(6) has 2^6 reachable subsets
+    ("determinize", lambda b: determinize(down_closure(gen_family("D", 6)), b),
+     64, "determinization subset states"),
+    # E(5) is finite, so its up-closure takes the cone route: 2^5 + 1 states
+    ("closure up", lambda b: closure_dfa(gen_family("E", 5), "up", b),
+     33, "closure antichain states"),
+    ("closure down", lambda b: closure_dfa(gen_family("D", 5), "down", b),
+     32, "determinization subset states"),
+    ("up interior", lambda b: up_interior(gen_family("upIntWitness", 7), "antichain", b),
+     9, "interior antichain states"),
+    ("down interior", lambda b: down_interior(gen_family("upIntWitness", 7), "antichain", b),
+     20, "interior antichain states"),
+]
+
+
+@pytest.mark.parametrize("build, count, what", [case[1:] for case in BUDGET_CASES],
+                         ids=[case[0] for case in BUDGET_CASES])
+def test_budget_admits_exactly_the_state_count(build, count, what):
+    build(count)
+    with pytest.raises(BudgetExceededError) as exc:
+        build(count - 1)
+    assert (exc.value.what, exc.value.budget) == (what, count - 1)
 
 
 def test_minimize_size_matches_moore_oracle():

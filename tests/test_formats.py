@@ -57,6 +57,15 @@ def test_serializing_a_long_dfa_builds_no_mask_table():
     assert peak < 15_000_000
 
 
+def test_a_dfa_writes_as_its_nfa_does():
+    rng = random.Random(29)
+    for _ in range(150):
+        d = random_dfa(rng, rng.randint(1, 8), rng.randint(1, 3), rng.uniform(0.3, 1.0))
+        d = Dfa(d.alphabet, d.n, d.delta_flat(), rng.randrange(d.n), d.final)
+        assert serialize_automaton(d) == serialize_automaton(d.to_nfa())
+        assert render_dot(d) == render_dot(d.to_nfa())
+
+
 def test_serialize_is_canonical_and_newline_terminated():
     text = serialize_automaton(parse_automaton(SAMPLE))
     assert text == (
