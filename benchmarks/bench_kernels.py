@@ -14,6 +14,7 @@ import time
 
 from subwordkit import DEFAULT_BUDGET, down_closure, gen_family
 from subwordkit import _kernels_py
+from subwordkit.closures import _dominators
 
 
 def bench(fn, repeat):
@@ -83,11 +84,7 @@ def workload_cone(rng):
     for s, i in sid.items():
         for x in range(k):
             nxt[i * k + x] = sid[s[1:]] if s and s[0] == x else i
-    dom = [0] * num
-    for i, s in enumerate(by_id):
-        for j, v in enumerate(by_id):
-            if i != j and v != s and _kernels_py.is_subword(v, s):
-                dom[i] |= 1 << j
+    dom = _dominators(by_id, sid)
     start = [sid[w] for w in gens]
 
     def run(mod):

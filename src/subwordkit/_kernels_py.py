@@ -1,6 +1,6 @@
 """The kernels: the hot loops of the package, on flat integer tables.
 
-Seven entry points, reached through `subwordkit.kernels`:
+Eight entry points, reached through `subwordkit.kernels`:
 
 - `explore`, the one numbering loop: every construction that numbers
   states (subset construction, both passes of `dfa_minimize`, the cone,
@@ -9,10 +9,12 @@ Seven entry points, reached through `subwordkit.kernels`:
   scanned in index order, and a construction holds at most `budget`
   states: the state that would be number budget + 1 raises
   BudgetExceededError(what, budget) instead;
-- `step` and `bits`, the powerset primitives: a state set is an int
-  bitmask, and every membership run and product search in the package
-  moves a set by a letter with `step` (subset construction, which needs
-  all k letters of every subset, ORs whole successor rows instead);
+- `step`, `bits` and `maximal`, the powerset primitives: a state set is
+  an int bitmask, and every membership run and product search in the
+  package moves a set by a letter with `step` (subset construction, which
+  needs all k letters of every subset, ORs whole successor rows instead);
+  `maximal` shrinks a set of a topologically numbered down-closure NFA
+  to its reachability-maximal members, which have the same language;
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
   whole algorithms over the same tables.
 """
@@ -82,14 +84,37 @@ def is_subword(x, y):
     return all(a in it for a in x)
 
 
-def subset_construction(n, k, succ, init_mask, budget):
+def maximal(succ, k, mask):
+    """The reachability-maximal members of `mask` in a down-closure NFA.
+
+    succ is the flat table of `step`, of a down-closure NFA whose states
+    come before every state they reach (closures._reduced_down_closure
+    builds one).  The lowest member is then reached by no other member:
+    keep it, clear everything it reaches (its own bit and the OR of its k
+    rows), and repeat, once per kept member.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= low
+        base = (low.bit_length() - 1) * k
+        for m in succ[base:base + k]:
+            low |= m
+        mask &= ~low
+    return out
+
+
+def subset_construction(n, k, succ, init_mask, budget, reduce=None):
     """Powerset construction over bitmask subsets, numbered by `explore`.
 
     succ is the flat successor table of `step`; init_mask must be nonzero.
     The empty subset is never a state: edges into it are -1.  Returns (delta,
     subsets), subsets[i] the bitmask behind DFA state i.  Each subset's
     bits are walked once, OR-ing each member's whole row of k successor
-    masks into the k targets.
+    masks into the k targets.  `reduce`, when given, replaces every
+    target by a subset of it with the same language (init_mask must be
+    reduced already).  With `maximal`'s, fewer members mean fewer rows to
+    OR, and there are no more subsets than without it.
     """
 
     def successors(s):
@@ -100,7 +125,7 @@ def subset_construction(n, k, succ, init_mask, budget):
             for a in range(k):
                 row[a] |= succ[base + a]
             s ^= low
-        return row
+        return row if reduce is None else map(reduce, row)
 
     subsets, delta = explore(init_mask, successors, budget,
                              "determinization subset states", missing=0)

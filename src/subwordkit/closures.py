@@ -10,10 +10,11 @@ larger than the minimal DFA it eventually shrinks to).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
-from .core import (DEFAULT_BUDGET, Dfa, Nfa, Word, as_nfa, check_budget, determinize,
-                   empty_language_dfa, minimize, strong_components, trim)
+from .core import (DEFAULT_BUDGET, Dfa, Nfa, Word, _determinize, as_nfa, check_budget,
+                   determinize, empty_language_dfa, minimize, strong_components, trim)
 from .errors import InputError
 from .subwords import minimal_words
 from . import kernels
@@ -22,6 +23,10 @@ from . import kernels
 CONE_WORD_CAP = 64
 CONE_SUFFIX_CAP = 2048
 _CONE_STEP_CAP = 50_000
+
+# Down closures of inputs with more states than this, and acyclic apart
+# from self-loops, reduce their subsets (see _reduced_down_closure).
+REDUCE_MIN_STATES = 64
 
 
 def up_closure(a):
@@ -46,9 +51,22 @@ def down_closure(a):
     reachability set per state.
     """
     a = as_nfa(a)
-    k = a.k
-    succ = a.succ_masks()
-    comps, comp_of, below = strong_components(a)
+    return _down_closure(a, strong_components(a))
+
+
+def _down_closure(a, components):
+    """down_closure of the Nfa `a`, whose strong_components are given."""
+    comps, comp_of, below = components
+    rows, co = _component_rows(a.k, a.succ_masks(), a.final, comps, below)
+    table = tuple(chain.from_iterable(map(rows.__getitem__, comp_of)))
+    final = [q for q, c in enumerate(comp_of) if co[c]]
+    return Nfa._of_masks(a.alphabet, a.n, table, a.initial, final)
+
+
+def _component_rows(k, succ, final, comps, below):
+    """The rows of down_closure, one per component, and whether each
+    component reaches a final state; comps comes in reverse topological
+    order, as strong_components gives it."""
     rows = []
     co = []  # co[c]: component c reaches a final state
     for c, members in enumerate(comps):
@@ -56,15 +74,78 @@ def down_closure(a):
         row = succ[p * k:p * k + k]
         for p in members[1:]:
             row = [m | m2 for m, m2 in zip(row, succ[p * k:p * k + k])]
-        reaches = not a.final.isdisjoint(members)
+        reaches = not final.isdisjoint(members)
         for d in below[c]:
             row = [m | m2 for m, m2 in zip(row, rows[d])]
             reaches = reaches or co[d]
         rows.append(row)
         co.append(reaches)
-    table = tuple(chain.from_iterable(map(rows.__getitem__, comp_of)))
-    final = [q for q, c in enumerate(comp_of) if co[c]]
-    return Nfa._of_masks(a.alphabet, a.n, table, a.initial, final)
+    return rows, co
+
+
+def _reduced_down_closure(a):
+    """The down-closure NFA and its reducer: renumbered in topological
+    order with `kernels.maximal` when `a` takes this route, else the NFA
+    of `down_closure` and None.
+
+    A state q of a down-closure NFA simulates every state r it reaches:
+    q's row contains r's row letter by letter, and q is final when r is.
+    So a subset has the language of its reachability-maximal members,
+    and the subset construction and the product search of
+    `shortest_in_difference` may replace every subset they make by those
+    members.  Doing so never makes a new subset: a dropped member's row
+    lies inside the row of a member that reaches it, so a subset and its
+    reduction step to the same set, and the reduced subsets are the
+    reductions of the subsets the unreduced route makes.  Their count is
+    at most the unreduced count (the traced
+    `kernels.subset_construction.subsets` falls by design), and a budget
+    that was enough before is still enough.  The results do not move:
+    minimisation maps equal languages to byte-equal DFAs, and a
+    breadth-first product search keeps each pair's least access word,
+    while a reduced pair has the language of the pair it replaces, so the
+    length-lex least witness is the same.
+
+    States are renumbered so that a state comes before every state it
+    reaches; then the lowest bit of a subset is reachability-maximal.
+    The reducer keeps it, clears everything it reaches and repeats: one
+    iteration per kept member.  A state's reach is its own bit and the
+    OR of its k closure rows, so no table beyond the rows is kept.  The
+    input, not the dense closure, is renumbered: the component pass is
+    run on the input, its sparse masks are renumbered, and the rows are
+    built on those by the same `_component_rows` as `down_closure`.
+
+    The route is taken when every strongly connected component of `a` is
+    one state (acyclic apart from self-loops, so that components order the
+    states) and `a` has more than REDUCE_MIN_STATES states.  On small
+    inputs the renumbering costs more than the reduction saves: taking
+    the route on every input made the 125 down operations of the
+    `decisions` benchmark (seed 1) that touch a small acyclic input 39-44%
+    slower, median per operation, best of 7 (Python 3.11, 2 shared vCPUs).
+    """
+    a = as_nfa(a)
+    n = a.n
+    if n <= REDUCE_MIN_STATES:
+        return down_closure(a), None
+    components = strong_components(a)
+    comps, comp_of, below = components
+    if len(comps) < n:
+        return _down_closure(a, components), None
+    k = a.k
+    # components come sinks first, so state q goes to n - 1 - comp_of[q]
+    pos = [n - 1 - c for c in comp_of]
+    succ = [0] * (n * k)
+    for i, m in enumerate(a.succ_masks()):
+        if m:
+            t = 0
+            for q in kernels.bits(m):
+                t |= 1 << pos[q]
+            succ[pos[i // k] * k + i % k] = t
+    final = {pos[q] for q in a.final}
+    rows, co = _component_rows(k, succ, final, ([n - 1 - c] for c in range(n)), below)
+    table = tuple(chain.from_iterable(reversed(rows)))
+    closure = Nfa._of_masks(a.alphabet, n, table, [pos[q] for q in a.initial],
+                            [n - 1 - c for c in range(n) if co[c]])
+    return closure, partial(kernels.maximal, table, k)
 
 
 def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
@@ -74,6 +155,9 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     closures of small finite languages the minimal DFA is built directly as
     antichains of pending suffixes, which avoids materialising the powerset
     (the generic route can need far more subsets than the answer has states).
+    Downward closures of large inputs that are acyclic apart from
+    self-loops determinise subsets reduced to their reachability-maximal
+    states (see _reduced_down_closure).
     """
     if direction not in ("up", "down"):
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
@@ -84,7 +168,10 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
         if words is not None:
             return _cone_dfa(a.alphabet, words, budget)
         return minimize(determinize(up_closure(a), budget))
-    return minimize(determinize(down_closure(a), budget))
+    closure, reduce = _reduced_down_closure(a)
+    if reduce is None:
+        return minimize(determinize(closure, budget))
+    return minimize(_determinize(closure, budget, reduce)[0])
 
 
 def _finite_language(a):
@@ -145,11 +232,32 @@ def _cone_dfa(alphabet, words, budget):
     for s, i in sid.items():
         for x in range(k):
             nxt[i * k + x] = sid[s[1:]] if s and s[0] == x else i
-    dom = [0] * num
-    for i, s in enumerate(by_id):
-        for j, v in enumerate(by_id):
-            if i != j and v != s and kernels.is_subword(v, s):
-                dom[i] |= 1 << j
+    dom = _dominators(by_id, sid)
     start = [sid[w.letters] for w in gens]
     n, delta, finals = kernels.cone_closure(num, k, nxt, sid[()], dom, start, budget)
     return Dfa(alphabet, n, delta, 0, finals)
+
+
+def _dominators(by_id, sid):
+    """dom[i]: bitmask of the ids whose suffix embeds into suffix i's, i
+    excluded.
+
+    Ids key distinct suffixes, and only a strictly shorter word embeds
+    into another.  Every proper suffix of suffix i has an id of its own,
+    and it embeds without a test; the other shorter suffixes are tested.
+    """
+    order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
+    dom = [0] * len(by_id)
+    for pos, i in enumerate(order):
+        s = by_id[i]
+        if not s:
+            continue
+        d = 1 << sid[s[1:]] | dom[sid[s[1:]]]
+        for j in order[:pos]:
+            v = by_id[j]
+            if len(v) == len(s):
+                break
+            if not d >> j & 1 and kernels.is_subword(v, s):
+                d |= 1 << j
+        dom[i] = d
+    return dom

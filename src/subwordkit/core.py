@@ -395,14 +395,20 @@ def determinize_subsets(a, budget=DEFAULT_BUDGET):
     return dfa, tuple(frozenset(bits(s)) for s in subsets)
 
 
-def _determinize(a, budget):
-    """The determinized DFA and the bitmask subset behind each of its states."""
+def _determinize(a, budget, reduce=None):
+    """The determinized DFA and the bitmask subset behind each of its states.
+
+    `reduce`, when given, maps every subset to one with the same language
+    (see kernels.subset_construction)."""
     check_budget(a, budget)
     a = as_nfa(a)
     init = a.init_mask()
     if init == 0:
         return empty_language_dfa(a.alphabet), (0,)
-    delta, subsets = kernels.subset_construction(a.n, a.k, a.succ_masks(), init, budget)
+    if reduce is not None:
+        init = reduce(init)
+    delta, subsets = kernels.subset_construction(a.n, a.k, a.succ_masks(), init, budget,
+                                                 reduce)
     fmask = a.final_mask()
     final = [i for i, s in enumerate(subsets) if s & fmask]
     return Dfa(a.alphabet, len(subsets), delta, 0, final), subsets

@@ -33,7 +33,7 @@ from .core import (
     sigma_star_dfa,
     strong_components,
 )
-from .closures import down_closure, up_closure
+from .closures import _reduced_down_closure, up_closure
 from .kernels import bits, step
 
 
@@ -58,14 +58,35 @@ def _check_direction(direction):
 
 
 def _closure_nfa(a, direction):
-    return up_closure(a) if direction == "up" else down_closure(a)
+    """The closure NFA of `a` and its reducer (None unless a down closure
+    takes the reduced route of closures._reduced_down_closure)."""
+    return (up_closure(a), None) if direction == "up" else _reduced_down_closure(a)
 
 
-def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
+def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None)):
     """Length-lex least word in L(a) ∖ L(b), or None if the difference is empty.
 
     Runs a breadth-first search over pairs of powerset states, built on
-    the fly, so neither side is determinised up front.
+    the fly, so neither side is determinised up front.  Pairs are found
+    in length-lex order of the words that reach them, each pair is kept
+    with the first (least) such word, and the search stops at the first
+    pair accepted by a and not by b; so the word returned is the least of
+    the difference.
+
+    `_reduce` is internal to the package: the decisions below pass, for a
+    down-closure side built by closures._reduced_down_closure (inputs of
+    more than REDUCE_MIN_STATES states, acyclic apart from self-loops),
+    its reducer, and every subset that side reaches is replaced by its
+    reachability-maximal members.  That is sound because in a down
+    closure a state simulates every state it reaches, so a reduced pair
+    has the language of the pair it replaces.  The witness stays the
+    length-lex least: the breadth-first search keeps each pair's least
+    access word, and the reduced pair inherits it.  A side steps to the
+    same set from a subset and from its reduction, so the search meets
+    no more pairs than without it and a budget that was enough before
+    still is; the saving is in the rows ORed per step, which fall from
+    every member's to the kept members'.  Sides without a reducer run
+    the plain search.
     """
     check_budget(a, budget)
     check_budget(b, budget)
@@ -78,7 +99,14 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
     bsucc = b.succ_masks()
     afin = a.final_mask()
     bfin = b.final_mask()
-    start = (a.init_mask(), b.init_mask())
+    areduce, breduce = _reduce
+    ainit = a.init_mask()
+    binit = b.init_mask()
+    if areduce is not None:
+        ainit = areduce(ainit)
+    if breduce is not None:
+        binit = breduce(binit)
+    start = (ainit, binit)
     if not start[0]:
         return None
     if start[0] & afin and not start[1] & bfin:
@@ -94,7 +122,12 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
                 am2 = step(asucc, k, am, x)
                 if not am2:
                     continue
-                key = (am2, step(bsucc, k, bm, x))
+                bm2 = step(bsucc, k, bm, x)
+                if areduce is not None:
+                    am2 = areduce(am2)
+                if breduce is not None:
+                    bm2 = breduce(bm2)
+                key = (am2, bm2)
                 if key in parent:
                     continue
                 parent[key] = (pair, x)
@@ -119,7 +152,8 @@ def is_closed(a, direction, budget=DEFAULT_BUDGET):
     check_budget(a, budget)
     a = as_nfa(a)
     _check_direction(direction)
-    w = shortest_in_difference(_closure_nfa(a, direction), a, budget)
+    closure, reduce = _closure_nfa(a, direction)
+    w = shortest_in_difference(closure, a, budget, _reduce=(reduce, None))
     return Certificate(w is None, w)
 
 
@@ -231,7 +265,9 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     a = as_nfa(a)
     b = as_nfa(b)
     _check_direction(direction)
-    w = shortest_in_difference(_closure_nfa(a, direction), _closure_nfa(b, direction), budget)
+    ca, areduce = _closure_nfa(a, direction)
+    cb, breduce = _closure_nfa(b, direction)
+    w = shortest_in_difference(ca, cb, budget, _reduce=(areduce, breduce))
     if w is None:
         return Certificate(True)
     if direction == "up":
@@ -287,5 +323,7 @@ def down_universal(a, budget=DEFAULT_BUDGET):
             inside |= 1 << p
         if all(any(succ[p * k + x] & inside for p in members) for x in range(k)):
             return Certificate(True)
-    w = shortest_in_difference(sigma_star_dfa(a.alphabet), down_closure(a), budget)
+    closure, reduce = _closure_nfa(a, "down")
+    w = shortest_in_difference(sigma_star_dfa(a.alphabet), closure, budget,
+                               _reduce=(None, reduce))
     return Certificate(False, w)

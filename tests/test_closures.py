@@ -11,10 +11,13 @@ from subwordkit import (
 )
 from subwordkit.experiments import random_nfa
 
+from subwordkit.closures import REDUCE_MIN_STATES, _dominators
+from subwordkit.kernels import is_subword
+
 from oracles import (
     all_words, down_closure_saturation, down_member, up_closure_saturation, up_member,
 )
-from strategies import nfas
+from strategies import dags, nfas
 
 
 def test_up_closure_membership_semantics():
@@ -189,3 +192,57 @@ def test_down_closure_dfa_of_a_path_stays_small_in_memory():
         tracemalloc.stop()
     assert d.n == n
     assert peak < 2_000_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags())
+def test_reduced_down_closure_dfa_matches_the_powerset_route(a):
+    # inputs above REDUCE_MIN_STATES reduce their subsets; the canonical
+    # DFA must not move, and the unreduced route's subset count (or the
+    # input size, whichever is larger) must still be budget enough
+    unreduced = determinize(down_closure(a))
+    expected = minimize(unreduced)
+    assert closure_dfa(a, "down") == expected
+    assert closure_dfa(a, "down", budget=max(a.n, unreduced.n)) == expected
+
+
+def test_down_closure_dfa_of_a_5000_state_path():
+    rng = random.Random(5)
+    n = 5000
+    a = Nfa(auto_alphabet(2), n, {(i, rng.randrange(2), i + 1) for i in range(n - 1)},
+            {0}, {n - 1})
+    d = closure_dfa(a, "down")
+    assert d.n == 5000
+    assert d.final == frozenset(range(5000))
+
+
+def test_reduced_down_closure_of_a_transition_free_nfa_stays_small_in_memory():
+    # every state is its own component, so the reduced route is taken; it
+    # keeps no reach mask per state (those alone would take n²/8 bytes)
+    n = 20_000
+    assert n > REDUCE_MIN_STATES
+    a = Nfa(auto_alphabet(2), n, (), {0}, {0})
+    tracemalloc.start()
+    try:
+        d = closure_dfa(a, "down")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.n, d.final) == (1, frozenset({0}))
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cone_dominators_match_the_all_pairs_scan(seed):
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    words = {tuple(rng.randrange(k) for _ in range(rng.randint(0, 12)))
+             for _ in range(rng.randint(1, 10))}
+    sid = {}
+    for w in sorted(words):
+        for i in range(len(w) + 1):
+            sid.setdefault(w[i:], len(sid))
+    by_id = sorted(sid, key=sid.get)
+    scan = [sum(1 << j for j, v in enumerate(by_id) if v != s and is_subword(v, s))
+            for s in by_id]
+    assert _dominators(by_id, sid) == scan

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subwordkit import (
     BudgetExceededError, Certificate, InputError, Nfa, accepts,
@@ -12,7 +13,7 @@ from subwordkit import (
 from subwordkit.experiments import random_dfa, random_nfa
 
 from oracles import all_words, down_member, up_member
-from strategies import nfas
+from strategies import dags, nfas
 
 
 def test_certificate_invariants():
@@ -283,3 +284,58 @@ def test_unary_closure_equal_reduces_to_extremal_lengths():
         assert up == (shortest_len(a) == shortest_len(b))
         down = closure_equal(a, b, "down").verdict
         assert down == (longest_len(a) == longest_len(b))
+
+
+def _least_budget(run, low):
+    """The least budget, at least `low`, for which run(budget) raises no
+    BudgetExceededError."""
+    high = low
+    while True:
+        try:
+            run(high)
+            break
+        except BudgetExceededError:
+            low, high = high + 1, high * 2
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            run(mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid + 1
+    return high
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduced_down_decisions_match_the_unreduced_search(data):
+    # Down-closure sides of inputs above closures.REDUCE_MIN_STATES that
+    # are acyclic apart from self-loops search reduced subsets.  Each
+    # decision must give the certificate of the plain search over the
+    # unreduced closures, within the budget that plain search needed.
+    k = data.draw(st.integers(1, 3))
+    a = data.draw(dags(k=k))
+    b = data.draw(dags(k=k))
+    da, db = down_closure(a), down_closure(b)
+    sigma = sigma_star_dfa(a.alphabet)
+    low = max(a.n, b.n)
+
+    def cert(w):
+        return Certificate(w is None, w)
+
+    def equal(m):
+        first = cert(shortest_in_difference(da, db, m))
+        return first if not first else cert(shortest_in_difference(db, da, m))
+
+    searches = (
+        (lambda m: cert(shortest_in_difference(da, db, m)),
+         lambda m: closure_inclusion(a, b, "down", m)),
+        (equal, lambda m: closure_equal(a, b, "down", m)),
+        (lambda m: cert(shortest_in_difference(da, a, m)),
+         lambda m: is_closed(a, "down", m)),
+        (lambda m: cert(shortest_in_difference(sigma, db, m)),
+         lambda m: down_universal(b, m)),
+    )
+    for plain, decision in searches:
+        budget = _least_budget(plain, low)
+        assert decision(budget) == plain(budget)
