@@ -13,8 +13,8 @@ Eight entry points, reached through `subwordkit.kernels`:
   an int bitmask, and every membership run and product search in the
   package moves a set by a letter with `step` (subset construction, which
   needs all k letters of every subset, ORs whole successor rows instead);
-  `maximal` shrinks a set of a topologically numbered down-closure NFA
-  to its reachability-maximal members, which have the same language;
+  `maximal` shrinks a set of a down-closure NFA to members that reach
+  the rest, which have the same language;
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
   whole algorithms over the same tables.
 """
@@ -85,13 +85,17 @@ def is_subword(x, y):
 
 
 def maximal(succ, k, mask):
-    """The reachability-maximal members of `mask` in a down-closure NFA.
+    """A part of `mask` that reaches every member, in a down-closure NFA,
+    so it has the language of `mask`.
 
-    succ is the flat table of `step`, of a down-closure NFA whose states
-    come before every state they reach (closures._reduced_down_closure
-    builds one).  The lowest member is then reached by no other member:
-    keep it, clear everything it reaches (its own bit and the OR of its k
-    rows), and repeat, once per kept member.
+    succ is the flat table of `step`; a state's reach is its own bit and
+    the OR of its k rows.  Keep the lowest member, clear its reach, and
+    repeat, once per kept member.  When no state reaches a lower-numbered
+    state outside its own strongly connected component (as
+    closures._reduced_down_closure numbers them), the lowest member is
+    reached by no other one, and what is kept is exactly one member per
+    reachability-maximal component.  In any other numbering the result
+    is still sound, but may keep members that another kept one reaches.
     """
     out = 0
     while mask:

@@ -24,8 +24,8 @@ CONE_WORD_CAP = 64
 CONE_SUFFIX_CAP = 2048
 _CONE_STEP_CAP = 50_000
 
-# Down closures of inputs with more states than this, and acyclic apart
-# from self-loops, reduce their subsets (see _reduced_down_closure).
+# Down closures of inputs with more states than this reduce their subsets
+# (see _reduced_down_closure).
 REDUCE_MIN_STATES = 64
 
 
@@ -51,22 +51,9 @@ def down_closure(a):
     reachability set per state.
     """
     a = as_nfa(a)
-    return _down_closure(a, strong_components(a))
-
-
-def _down_closure(a, components):
-    """down_closure of the Nfa `a`, whose strong_components are given."""
-    comps, comp_of, below = components
-    rows, co = _component_rows(a.k, a.succ_masks(), a.final, comps, below)
-    table = tuple(chain.from_iterable(map(rows.__getitem__, comp_of)))
-    final = [q for q, c in enumerate(comp_of) if co[c]]
-    return Nfa._of_masks(a.alphabet, a.n, table, a.initial, final)
-
-
-def _component_rows(k, succ, final, comps, below):
-    """The rows of down_closure, one per component, and whether each
-    component reaches a final state; comps comes in reverse topological
-    order, as strong_components gives it."""
+    k = a.k
+    succ = a.succ_masks()
+    comps, comp_of, below = strong_components(a)
     rows = []
     co = []  # co[c]: component c reaches a final state
     for c, members in enumerate(comps):
@@ -74,78 +61,77 @@ def _component_rows(k, succ, final, comps, below):
         row = succ[p * k:p * k + k]
         for p in members[1:]:
             row = [m | m2 for m, m2 in zip(row, succ[p * k:p * k + k])]
-        reaches = not final.isdisjoint(members)
+        reaches = not a.final.isdisjoint(members)
         for d in below[c]:
             row = [m | m2 for m, m2 in zip(row, rows[d])]
             reaches = reaches or co[d]
         rows.append(row)
         co.append(reaches)
-    return rows, co
+    table = tuple(chain.from_iterable(map(rows.__getitem__, comp_of)))
+    final = [q for q, c in enumerate(comp_of) if co[c]]
+    return Nfa._of_masks(a.alphabet, a.n, table, a.initial, final)
 
 
 def _reduced_down_closure(a):
-    """The down-closure NFA and its reducer: renumbered in topological
-    order with `kernels.maximal` when `a` takes this route, else the NFA
-    of `down_closure` and None.
+    """The down-closure NFA of `a` and its reducer, or None for inputs of
+    at most REDUCE_MIN_STATES states, which get `down_closure` itself.
 
     A state q of a down-closure NFA simulates every state r it reaches:
     q's row contains r's row letter by letter, and q is final when r is.
-    So a subset has the language of its reachability-maximal members,
-    and the subset construction and the product search of
-    `shortest_in_difference` may replace every subset they make by those
-    members.  Doing so never makes a new subset: a dropped member's row
-    lies inside the row of a member that reaches it, so a subset and its
-    reduction step to the same set, and the reduced subsets are the
-    reductions of the subsets the unreduced route makes.  Their count is
-    at most the unreduced count (the traced
-    `kernels.subset_construction.subsets` falls by design), and a budget
-    that was enough before is still enough.  The results do not move:
-    minimisation maps equal languages to byte-equal DFAs, and a
-    breadth-first product search keeps each pair's least access word,
-    while a reduced pair has the language of the pair it replaces, so the
-    length-lex least witness is the same.
+    So a subset has the language of any of its parts that reaches all of
+    it, and the subset construction and the product search of
+    `shortest_in_difference` may replace every subset they make by its
+    reachability-maximal members (`kernels.maximal`).  Doing so never
+    makes a new subset: a dropped member's row lies inside the row of a
+    member that reaches it, so a subset and its reduction step to the
+    same set, and the reduced subsets are the reductions of the subsets
+    the unreduced route makes.  Their count is at most the unreduced
+    count (the traced `kernels.subset_construction.subsets` falls by
+    design), and a budget that was enough before is still enough.  The
+    results do not move: minimisation maps equal languages to byte-equal
+    DFAs, and a breadth-first product search keeps each pair's least
+    access word, while a reduced pair has the language of the pair it
+    replaces, so the length-lex least witness is the same.
 
-    States are renumbered so that a state comes before every state it
-    reaches; then the lowest bit of a subset is reachability-maximal.
-    The reducer keeps it, clears everything it reaches and repeats: one
-    iteration per kept member.  A state's reach is its own bit and the
-    OR of its k closure rows, so no table beyond the rows is kept.  The
-    input, not the dense closure, is renumbered: the component pass is
-    run on the input, its sparse masks are renumbered, and the rows are
-    built on those by the same `_component_rows` as `down_closure`.
+    `maximal` is sound in any numbering; the numbering sets how much it
+    drops per iteration.  When no edge of `a` enters a lower state, the
+    lowest member of a subset is reached by no other member, and one
+    iteration per kept member clears the rest.  Otherwise `a` is first
+    renumbered so that its strongly connected components come in
+    topological order, each one's members contiguous: then the lowest
+    member's reach (its own bit and the OR of its k rows, no table
+    beyond the rows) covers the rest of its component and no other
+    member reaches it.  On a 2000-state path numbered against its edges,
+    `closure_dfa` down took 2.5 s with the reducer on the input's own
+    numbering, 0.68 s unreduced and 0.05 s renumbered.  Inputs already in
+    order skip the renumbering, which took a transition-free
+    1,000,000-state file 2 s on top of the closure's own 3 s.
 
-    The route is taken when every strongly connected component of `a` is
-    one state (acyclic apart from self-loops, so that components order the
-    states) and `a` has more than REDUCE_MIN_STATES states.  On small
-    inputs the renumbering costs more than the reduction saves: taking
-    the route on every input made the 125 down operations of the
-    `decisions` benchmark (seed 1) that touch a small acyclic input 39-44%
-    slower, median per operation, best of 7 (Python 3.11, 2 shared vCPUs).
+    On small inputs the route costs more than it saves: taking it on
+    every input made the 840 down operations of the `decisions` benchmark
+    (seed 1), all on inputs of 5-16 states, 1.8x slower, median per
+    operation, best of 7 (Python 3.11, 2 shared vCPUs).
     """
     a = as_nfa(a)
-    n = a.n
+    n, k = a.n, a.k
     if n <= REDUCE_MIN_STATES:
         return down_closure(a), None
-    components = strong_components(a)
-    comps, comp_of, below = components
-    if len(comps) < n:
-        return _down_closure(a, components), None
-    k = a.k
-    # components come sinks first, so state q goes to n - 1 - comp_of[q]
-    pos = [n - 1 - c for c in comp_of]
-    succ = [0] * (n * k)
-    for i, m in enumerate(a.succ_masks()):
-        if m:
+    succ = a.succ_masks()
+    if any(m and m >> (i // k) << (i // k) != m for i, m in enumerate(succ)):
+        # components come sinks first; state q is numbered pos[q]
+        pos = [0] * n
+        for j, q in enumerate(chain.from_iterable(reversed(strong_components(a)[0]))):
+            pos[q] = j
+        renumbered = [0] * (n * k)
+        for i, m in enumerate(succ):
             t = 0
             for q in kernels.bits(m):
                 t |= 1 << pos[q]
-            succ[pos[i // k] * k + i % k] = t
-    final = {pos[q] for q in a.final}
-    rows, co = _component_rows(k, succ, final, ([n - 1 - c] for c in range(n)), below)
-    table = tuple(chain.from_iterable(reversed(rows)))
-    closure = Nfa._of_masks(a.alphabet, n, table, [pos[q] for q in a.initial],
-                            [n - 1 - c for c in range(n) if co[c]])
-    return closure, partial(kernels.maximal, table, k)
+            renumbered[pos[i // k] * k + i % k] = t
+        a = Nfa._of_masks(a.alphabet, n, renumbered, map(pos.__getitem__, a.initial),
+                          map(pos.__getitem__, a.final))
+    closure = down_closure(a)
+    return closure, partial(kernels.maximal, closure.succ_masks(), k)
 
 
 def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
@@ -155,9 +141,9 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     closures of small finite languages the minimal DFA is built directly as
     antichains of pending suffixes, which avoids materialising the powerset
     (the generic route can need far more subsets than the answer has states).
-    Downward closures of large inputs that are acyclic apart from
-    self-loops determinise subsets reduced to their reachability-maximal
-    states (see _reduced_down_closure).
+    Downward closures of inputs above REDUCE_MIN_STATES states determinise
+    subsets reduced to their reachability-maximal states (see
+    _reduced_down_closure).
     """
     if direction not in ("up", "down"):
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")

@@ -63,7 +63,7 @@ def _closure_nfa(a, direction):
     return (up_closure(a), None) if direction == "up" else _reduced_down_closure(a)
 
 
-def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None)):
+def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
     """Length-lex least word in L(a) ∖ L(b), or None if the difference is empty.
 
     Runs a breadth-first search over pairs of powerset states, built on
@@ -72,11 +72,17 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None))
     with the first (least) such word, and the search stops at the first
     pair accepted by a and not by b; so the word returned is the least of
     the difference.
+    """
+    return _shortest_in_difference(a, b, budget, None, None)
 
-    `_reduce` is internal to the package: the decisions below pass, for a
-    down-closure side built by closures._reduced_down_closure (inputs of
-    more than REDUCE_MIN_STATES states, acyclic apart from self-loops),
-    its reducer, and every subset that side reaches is replaced by its
+
+def _shortest_in_difference(a, b, budget, areduce, breduce):
+    """shortest_in_difference, with every subset that side a (b) reaches
+    replaced by areduce(subset) (breduce) unless that is None.
+
+    The decisions below pass, for a down-closure side built by
+    closures._reduced_down_closure (inputs of more than
+    REDUCE_MIN_STATES states), its reducer, which keeps a subset's
     reachability-maximal members.  That is sound because in a down
     closure a state simulates every state it reaches, so a reduced pair
     has the language of the pair it replaces.  The witness stays the
@@ -85,8 +91,7 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None))
     same set from a subset and from its reduction, so the search meets
     no more pairs than without it and a budget that was enough before
     still is; the saving is in the rows ORed per step, which fall from
-    every member's to the kept members'.  Sides without a reducer run
-    the plain search.
+    every member's to the kept members'.
     """
     check_budget(a, budget)
     check_budget(b, budget)
@@ -99,14 +104,11 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None))
     bsucc = b.succ_masks()
     afin = a.final_mask()
     bfin = b.final_mask()
-    areduce, breduce = _reduce
-    ainit = a.init_mask()
-    binit = b.init_mask()
-    if areduce is not None:
-        ainit = areduce(ainit)
-    if breduce is not None:
-        binit = breduce(binit)
-    start = (ainit, binit)
+    # a side without a reducer steps with `step` itself, at its plain cost
+    astep = step if areduce is None else lambda s, k, m, x: areduce(step(s, k, m, x))
+    bstep = step if breduce is None else lambda s, k, m, x: breduce(step(s, k, m, x))
+    start = (a.init_mask() if areduce is None else areduce(a.init_mask()),
+             b.init_mask() if breduce is None else breduce(b.init_mask()))
     if not start[0]:
         return None
     if start[0] & afin and not start[1] & bfin:
@@ -119,15 +121,10 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET, *, _reduce=(None, None))
         for pair in frontier:
             am, bm = pair
             for x in range(k):
-                am2 = step(asucc, k, am, x)
+                am2 = astep(asucc, k, am, x)
                 if not am2:
                     continue
-                bm2 = step(bsucc, k, bm, x)
-                if areduce is not None:
-                    am2 = areduce(am2)
-                if breduce is not None:
-                    bm2 = breduce(bm2)
-                key = (am2, bm2)
+                key = (am2, bstep(bsucc, k, bm, x))
                 if key in parent:
                     continue
                 parent[key] = (pair, x)
@@ -153,7 +150,7 @@ def is_closed(a, direction, budget=DEFAULT_BUDGET):
     a = as_nfa(a)
     _check_direction(direction)
     closure, reduce = _closure_nfa(a, direction)
-    w = shortest_in_difference(closure, a, budget, _reduce=(reduce, None))
+    w = _shortest_in_difference(closure, a, budget, reduce, None)
     return Certificate(w is None, w)
 
 
@@ -267,7 +264,7 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     _check_direction(direction)
     ca, areduce = _closure_nfa(a, direction)
     cb, breduce = _closure_nfa(b, direction)
-    w = shortest_in_difference(ca, cb, budget, _reduce=(areduce, breduce))
+    w = _shortest_in_difference(ca, cb, budget, areduce, breduce)
     if w is None:
         return Certificate(True)
     if direction == "up":
@@ -324,6 +321,5 @@ def down_universal(a, budget=DEFAULT_BUDGET):
         if all(any(succ[p * k + x] & inside for p in members) for x in range(k)):
             return Certificate(True)
     closure, reduce = _closure_nfa(a, "down")
-    w = shortest_in_difference(sigma_star_dfa(a.alphabet), closure, budget,
-                               _reduce=(None, reduce))
+    w = _shortest_in_difference(sigma_star_dfa(a.alphabet), closure, budget, None, reduce)
     return Certificate(False, w)

@@ -24,16 +24,19 @@ def nfas(draw, max_states=8, max_letters=3):
 
 
 @st.composite
-def dags(draw, min_states=2, max_states=140, k=None):
-    """Random NFAs that are acyclic apart from self-loops, over k letters
-    (1 to 3 when k is None).
+def dags(draw, min_states=2, max_states=140, k=None, back_edges=0):
+    """Random NFAs that are acyclic apart from self-loops and up to
+    `back_edges` edges that go back, over k letters (1 to 3 when k is
+    None).
 
     States are numbered in a shuffled order; each one after the first is
     entered from one of the twelve before it, so the first state reaches
     them all along a tree whose branches do not reach each other.  Extra
-    forward edges and a few self-loops join branches.  Sizes on both sides
-    of closures.REDUCE_MIN_STATES occur, so inputs take both the reduced
-    and the unreduced down-closure route.
+    forward edges and a few self-loops join branches, and each back edge
+    goes at most twelve places back, closing a cycle where it lands on a
+    branch that reaches it.  Sizes on both sides of
+    closures.REDUCE_MIN_STATES occur, so inputs take both the reduced and
+    the unreduced down-closure route.
     """
     n = draw(st.integers(min_states, max_states))
     if k is None:
@@ -48,6 +51,10 @@ def dags(draw, min_states=2, max_states=140, k=None):
         trans.add((order[i], draw(letters), order[j]))
     for q in draw(st.lists(st.sampled_from(order), max_size=3)):
         trans.add((q, draw(letters), q))
+    for _ in range(draw(st.integers(0, back_edges))):
+        j = draw(st.integers(1, n - 1))
+        i = draw(st.integers(max(0, j - 12), j - 1))
+        trans.add((order[j], draw(letters), order[i]))
     initial = draw(st.sets(st.sampled_from(order[:3]), min_size=1, max_size=2))
     final = draw(st.sets(st.sampled_from(order[n // 2:]), min_size=1, max_size=4))
     return Nfa(auto_alphabet(k), n, trans, initial, final)

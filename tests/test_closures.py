@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subwordkit import (
     BudgetExceededError, InputError, Nfa, accepts, auto_alphabet,
@@ -11,8 +12,8 @@ from subwordkit import (
 )
 from subwordkit.experiments import random_nfa
 
-from subwordkit.closures import REDUCE_MIN_STATES, _dominators
-from subwordkit.kernels import is_subword
+from subwordkit.closures import REDUCE_MIN_STATES, _dominators, _reduced_down_closure
+from subwordkit.kernels import bits, is_subword, step
 
 from oracles import (
     all_words, down_closure_saturation, down_member, up_closure_saturation, up_member,
@@ -195,7 +196,7 @@ def test_down_closure_dfa_of_a_path_stays_small_in_memory():
 
 
 @settings(max_examples=100, deadline=None)
-@given(dags())
+@given(st.one_of(dags(), dags(back_edges=4)))
 def test_reduced_down_closure_dfa_matches_the_powerset_route(a):
     # inputs above REDUCE_MIN_STATES reduce their subsets; the canonical
     # DFA must not move, and the unreduced route's subset count (or the
@@ -204,6 +205,33 @@ def test_reduced_down_closure_dfa_matches_the_powerset_route(a):
     expected = minimize(unreduced)
     assert closure_dfa(a, "down") == expected
     assert closure_dfa(a, "down", budget=max(a.n, unreduced.n)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(dags(min_states=REDUCE_MIN_STATES + 1, back_edges=4), st.randoms(use_true_random=False))
+def test_reduced_down_closure_keeps_the_lowest_member_of_each_maximal_component(a, rng):
+    # the route numbers the closure so that its reducer, in one pass from
+    # the lowest bit, keeps exactly the members that no other member
+    # reaches, and of members that reach each other the lowest
+    closure, reduce = _reduced_down_closure(a)
+    n, k, succ = closure.n, closure.k, closure.succ_masks()
+    reach = []
+    for q in range(n):
+        seen, frontier = 1 << q, 1 << q
+        while frontier:
+            nxt = 0
+            for x in range(k):
+                nxt |= step(succ, k, frontier, x)
+            frontier = nxt & ~seen
+            seen |= frontier
+        reach.append(seen)
+    for _ in range(8):
+        mask = rng.getrandbits(n) & rng.getrandbits(n) if rng.random() < 0.5 else rng.getrandbits(n)
+        members = list(bits(mask))
+        kept = {m for m in members
+                if all(not reach[p] >> m & 1 or (reach[m] >> p & 1 and m < p)
+                       for p in members if p != m)}
+        assert set(bits(reduce(mask))) == kept
 
 
 def test_down_closure_dfa_of_a_5000_state_path():
