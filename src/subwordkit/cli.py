@@ -76,10 +76,6 @@ def _positive_int(text):
     return value
 
 
-def _budget_of(args):
-    return DEFAULT_BUDGET if args.budget is None else args.budget
-
-
 def _cmd_gen(args):
     _emit(args, gen_family(args.family, args.param))
     return 0
@@ -87,7 +83,7 @@ def _cmd_gen(args):
 
 def _cmd_closure(args):
     a = _read_automaton(args.inp)
-    _emit(args, closure_dfa(a, args.direction, _budget_of(args)))
+    _emit(args, closure_dfa(a, args.direction, args.budget))
     return 0
 
 
@@ -100,29 +96,28 @@ def _cmd_interior(args):
 
 def _cmd_minimize(args):
     a = _read_automaton(args.inp)
-    _emit(args, canonical_dfa(a, _budget_of(args)))
+    _emit(args, canonical_dfa(a, args.budget))
     return 0
 
 
 def _cmd_decide(args):
-    budget = _budget_of(args)
     a = _read_automaton(args.inp)
     kind = args.kind
     if kind == "universal":
-        cert = down_universal(a, budget)
+        cert = down_universal(a, args.budget)
         label = "down-universal"
     else:
         if args.direction is None:
             raise InputError(f"decide {kind} needs --direction up or down")
         if kind == "closed":
-            cert = is_closed(a, args.direction, budget)
+            cert = is_closed(a, args.direction, args.budget)
             label = f"{args.direction}-closed"
         else:
             if args.in2 is None:
                 raise InputError(f"decide {kind} needs --in2")
             b = _read_automaton(args.in2)
             decide = closure_inclusion if kind == "inclusion" else closure_equal
-            cert = decide(a, b, args.direction, budget)
+            cert = decide(a, b, args.direction, args.budget)
             label = f"closure-{kind} ({args.direction})"
     print(f"{label}: {'yes' if cert.verdict else 'no'}")
     if not cert.verdict:
@@ -192,19 +187,19 @@ def _build_parser():
 
     p = sub.add_parser("closure", help="minimal DFA of the up- or down-closure")
     p.add_argument("direction", choices=("up", "down"))
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     _add_io(p)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("interior", help="minimal DFA of the up- or down-interior")
     p.add_argument("direction", choices=("up", "down"))
     p.add_argument("--method", choices=("antichain", "duality"), default="antichain")
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     _add_io(p)
     p.set_defaults(func=_cmd_interior)
 
     p = sub.add_parser("minimize", help="canonical minimal DFA of the input")
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     _add_io(p)
     p.set_defaults(func=_cmd_minimize)
 
@@ -213,7 +208,7 @@ def _build_parser():
     p.add_argument("--direction", choices=("up", "down"))
     p.add_argument("--in", dest="inp", metavar="FILE")
     p.add_argument("--in2", metavar="FILE", help="second automaton for inclusion/equal")
-    p.add_argument("--budget", type=_positive_int)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("bounds", help="fooling-set and rank lower bounds")

@@ -134,6 +134,11 @@ def _reduced_down_closure(a):
     return closure, partial(kernels.maximal, closure.succ_masks(), k)
 
 
+def _check_direction(direction):
+    if direction not in ("up", "down"):
+        raise InputError(f"unknown direction {direction!r} (want up or down)")
+
+
 def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     """Canonical minimal DFA of the chosen closure.
 
@@ -145,8 +150,7 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     subsets reduced to their reachability-maximal states (see
     _reduced_down_closure).
     """
-    if direction not in ("up", "down"):
-        raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
+    _check_direction(direction)
     check_budget(a, budget)
     a = as_nfa(a)
     if direction == "up":

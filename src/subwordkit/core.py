@@ -294,8 +294,8 @@ class Dfa:
         return all(t >= 0 for t in self._delta)
 
     def to_nfa(self):
-        return Nfa(self.alphabet, self.n, frozenset(self.transitions()),
-                   frozenset([self.initial]), self.final)
+        succ = [1 << t if t >= 0 else 0 for t in self._delta]
+        return Nfa._of_masks(self.alphabet, self.n, succ, (self.initial,), self.final)
 
     def __eq__(self, other):
         if not isinstance(other, Dfa):
@@ -498,6 +498,7 @@ def minimize(d):
 
 def canonical_dfa(a, budget=DEFAULT_BUDGET):
     """Minimal canonical DFA of any automaton (determinize as needed)."""
+    check_budget(a, budget)
     if isinstance(a, Dfa):
         return minimize(a)
     return minimize(determinize(a, budget))
@@ -627,7 +628,11 @@ def is_unambiguous(a):
 
 
 def enumerate_upto(a, maxlen, budget=DEFAULT_BUDGET):
-    """All accepted words of length at most maxlen, in length-lex order."""
+    """All accepted words of length at most maxlen, in length-lex order.
+
+    The budget counts enumeration nodes (the words reached, accepted or
+    not), not states."""
+    check_budget(a, budget)
     a = as_nfa(a)
     succ = a.succ_masks()
     k = a.k

@@ -33,7 +33,7 @@ from .core import (
     sigma_star_dfa,
     strong_components,
 )
-from .closures import _reduced_down_closure, up_closure
+from .closures import _check_direction, _reduced_down_closure, up_closure
 from .kernels import bits, step
 
 
@@ -50,11 +50,6 @@ class Certificate:
 
     def __bool__(self):
         return self.verdict
-
-
-def _check_direction(direction):
-    if direction not in ("up", "down"):
-        raise InputError(f"unknown direction {direction!r} (want up or down)")
 
 
 def _closure_nfa(a, direction):

@@ -148,34 +148,26 @@ def random_dfa(rng, n, k, density=0.85):
     return Dfa(auto_alphabet(k), n, delta, 0, final)
 
 
-def _budget(budget):
-    return DEFAULT_BUDGET if budget is None else budget
-
-
-def _exp_up_closure(ns=(3, 4, 5, 6, 7, 8), budget=None):
-    b = _budget(budget)
-    return [_exact(f"n={n}", closure_dfa(gen_family("E", n - 2), "up", b).n, 2 ** (n - 2) + 1)
+def _exp_up_closure(ns=(3, 4, 5, 6, 7, 8), budget=DEFAULT_BUDGET):
+    return [_exact(f"n={n}", closure_dfa(gen_family("E", n - 2), "up", budget).n, 2 ** (n - 2) + 1)
             for n in ns]
 
 
-def _exp_down_closure(ns=(2, 3, 4, 5, 6, 7, 8), budget=None):
-    b = _budget(budget)
-    return [_exact(f"n={n}", closure_dfa(gen_family("D", n - 1), "down", b).n, 2 ** (n - 1))
+def _exp_down_closure(ns=(2, 3, 4, 5, 6, 7, 8), budget=DEFAULT_BUDGET):
+    return [_exact(f"n={n}", closure_dfa(gen_family("D", n - 1), "down", budget).n, 2 ** (n - 1))
             for n in ns]
 
 
-def _exp_not_u(ns=(1, 2, 3, 4, 5, 6), budget=None):
-    b = _budget(budget)
+def _exp_not_u(ns=(1, 2, 3, 4, 5, 6), budget=DEFAULT_BUDGET):
     rows = []
     for n in ns:
         a = gen_family("notU", n)
         rows.append(_exact(f"n={n} states", a.n, n))
-        rows.append(_exact(f"n={n} down closure", closure_dfa(a, "down", b).n, 2 ** n - 1))
+        rows.append(_exact(f"n={n} down closure", closure_dfa(a, "down", budget).n, 2 ** n - 1))
     return rows
 
 
-def _exp_down_strict(count=500, seed=0, budget=None):
-    b = _budget(budget)
+def _exp_down_strict(count=500, seed=0, budget=DEFAULT_BUDGET):
     rng = random.Random(seed)
     worst = {4: 0, 5: 0, 6: 0}
     samples = {4: 0, 5: 0, 6: 0}
@@ -184,22 +176,21 @@ def _exp_down_strict(count=500, seed=0, budget=None):
         k = rng.randrange(1, n - 1)
         a = random_nfa(rng, n, k, rng.uniform(0.08, 0.3), single_initial=True)
         samples[n] += 1
-        worst[n] = max(worst[n], closure_dfa(a, "down", b).n)
+        worst[n] = max(worst[n], closure_dfa(a, "down", budget).n)
     return [_bound(f"n={n} samples={samples[n]}", worst[n], f"< {2 ** (n - 1)}",
                    worst[n] < 2 ** (n - 1))
             for n in (4, 5, 6)]
 
 
-def _exp_two_letter_binomial(ns=(2, 4), budget=None):
+def _exp_two_letter_binomial(ns=(2, 4), budget=1 << 22):
     # The up-closure at n=4 runs past a million states, hence the budget.
-    b = (1 << 22) if budget is None else budget
     rows = []
     for n in ns:
         d = gen_family("twoLetter", n)
         rows.append(_exact(f"n={n} minimal", d.n, 3 * n ** 3 + 1))
         bound = math.comb(n + 1, n // 2)
         for direction in ("down", "up"):
-            size = closure_dfa(d, direction, b).n
+            size = closure_dfa(d, direction, budget).n
             rows.append(_bound(f"n={n} {direction} closure", size, f">= {bound}", size >= bound))
     return rows
 
@@ -275,18 +266,17 @@ def _phi_ceil_over_7(n):
     return (l0 + math.isqrt(5 * f0 * f0)) // 14 + 1
 
 
-def _exp_heam(states_ns=(2, 3, 4, 5, 6), phi_ns=(4, 5, 6, 7, 8), budget=None):
-    b = _budget(budget)
+def _exp_heam(states_ns=(2, 3, 4, 5, 6), phi_ns=(4, 5, 6, 7, 8), budget=DEFAULT_BUDGET):
     rows = [_exact(f"n={n} states", gen_family("heam", n).n, (n + 1) ** 2)
             for n in states_ns]
     for n in phi_ns:
-        size = closure_dfa(gen_family("heam", n), "up", b).n
+        size = closure_dfa(gen_family("heam", n), "up", budget).n
         bound = _phi_ceil_over_7(n)
         rows.append(_bound(f"n={n} up closure", size, f">= {bound}", size >= bound))
     return rows
 
 
-def _exp_dedekind(count=200, seed=0, budget=None):
+def _exp_dedekind(count=200, seed=0, budget=DEFAULT_BUDGET):
     expected = (2, 3, 6, 20, 168, 7581)
     rows = [_exact(f"psi({n})", dedekind_count(n), expected[n]) for n in range(6)]
     rng = random.Random(seed)
@@ -314,7 +304,7 @@ def _remap_words(s, alphabet):
                             for x, y in s.pairs))
 
 
-def _exp_down_int_witness(ns=(3, 5), budget=None):
+def _exp_down_int_witness(ns=(3, 5), budget=DEFAULT_BUDGET):
     rows = []
     for n in ns:
         a = gen_family("downIntWitness", n)
@@ -331,7 +321,7 @@ def _exp_down_int_witness(ns=(3, 5), budget=None):
     return rows
 
 
-def _exp_up_int_witness(n=7, budget=None):
+def _exp_up_int_witness(n=7, budget=DEFAULT_BUDGET):
     a = gen_family("upIntWitness", n)
     rows = [_bound(f"n={n} states", a.n, f"<= {n}", a.n <= n)]
     d = up_interior(a, budget=budget)
@@ -350,8 +340,7 @@ def _exp_up_int_witness(n=7, budget=None):
     return rows
 
 
-def _exp_ufa(rank_ns=(1, 2, 3, 4), instance_ns=(1, 2, 3), budget=None):
-    b = _budget(budget)
+def _exp_ufa(rank_ns=(1, 2, 3, 4), instance_ns=(1, 2, 3), budget=DEFAULT_BUDGET):
     rows = [_exact(f"rank mx n={n}", rational_rank(mx_matrix(n)), 2 ** n - 1)
             for n in rank_ns]
     for n in instance_ns:
@@ -364,7 +353,7 @@ def _exp_ufa(rank_ns=(1, 2, 3, 4), instance_ns=(1, 2, 3), budget=None):
         )
         for name, a, s, excluded, want in cases:
             lb = ufa_lower_bound(a, s, excluded)
-            d = canonical_dfa(a, b)
+            d = canonical_dfa(a, budget)
             rows.append(_exact(f"{name} n={n} bound", lb, want))
             rows.append(_exact(f"{name} n={n} minimal dfa", d.n, want))
     return rows
@@ -391,8 +380,7 @@ def _closed_by_enumeration(a, direction, cap=6):
     return True
 
 
-def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
-    b = _budget(budget)
+def _exp_decisions(count=500, pairs=200, seed=0, budget=DEFAULT_BUDGET):
     rng = random.Random(seed)
     rows = []
 
@@ -402,7 +390,7 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
         k = rng.randrange(1, 4)
         a = random_nfa(rng, n, k, rng.uniform(0.1, 0.45))
         for direction in ("up", "down"):
-            if is_closed(a, direction, b).verdict != _closed_by_enumeration(a, direction):
+            if is_closed(a, direction, budget).verdict != _closed_by_enumeration(a, direction):
                 disagree += 1
     rows.append(_exact(f"is_closed vs enumeration samples={count}", disagree, 0))
 
@@ -413,7 +401,7 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
         d = random_dfa(rng, n, k, rng.uniform(0.5, 1.0))
         for direction in ("up", "down"):
             cert = dfa_closed_witness(d, direction)
-            if cert.verdict != is_closed(d, direction, b).verdict:
+            if cert.verdict != is_closed(d, direction, budget).verdict:
                 bad += 1
                 continue
             if cert.verdict:
@@ -432,7 +420,7 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
         a = random_nfa(rng, rng.randrange(1, 6), k, rng.uniform(0.1, 0.45))
         c = random_nfa(rng, rng.randrange(1, 6), k, rng.uniform(0.1, 0.45))
         for direction in ("up", "down"):
-            cert = closure_inclusion(a, c, direction, b)
+            cert = closure_inclusion(a, c, direction, budget)
             if cert.verdict:
                 continue
             w = cert.witness
@@ -440,8 +428,8 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
             # reach c's state count exactly (see closure_inclusion)
             in_bound = len(w) < a.n if direction == "up" else len(w) <= c.n
             if not (in_bound
-                    and accepts(closure_dfa(a, direction, b), w)
-                    and not accepts(closure_dfa(c, direction, b), w)):
+                    and accepts(closure_dfa(a, direction, budget), w)
+                    and not accepts(closure_dfa(c, direction, budget), w)):
                 bad += 1
     rows.append(_exact(f"inclusion witnesses pairs={pairs}", bad, 0))
 
@@ -450,9 +438,9 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
         n = rng.randrange(1, 6)
         k = rng.randrange(1, 4)
         a = random_nfa(rng, n, k, rng.uniform(0.1, 0.45))
-        cert = down_universal(a, b)
-        closed = closure_dfa(a, "down", b)
-        want = equivalent(closed, sigma_star_dfa(auto_alphabet(k)), b)
+        cert = down_universal(a, budget)
+        closed = closure_dfa(a, "down", budget)
+        want = equivalent(closed, sigma_star_dfa(auto_alphabet(k)), budget)
         if cert.verdict != want:
             disagree += 1
         elif not cert.verdict and accepts(closed, cert.witness):
@@ -461,8 +449,7 @@ def _exp_decisions(count=500, pairs=200, seed=0, budget=None):
     return rows
 
 
-def _exp_fooling(ks=(1, 2, 3, 4), budget=None):
-    b = _budget(budget)
+def _exp_fooling(ks=(1, 2, 3, 4), budget=DEFAULT_BUDGET):
     rows = []
     for k in ks:
         for name in ("U", "V", "Uprime"):
@@ -470,7 +457,7 @@ def _exp_fooling(ks=(1, 2, 3, 4), budget=None):
             a = gen_family(name, k)
             rows.append(_exact(f"{name} k={k} fooling", verify_fooling(a, fooling_for(name, k)),
                                want))
-            rows.append(_exact(f"{name} k={k} minimal dfa", canonical_dfa(a, b).n, want))
+            rows.append(_exact(f"{name} k={k} minimal dfa", canonical_dfa(a, budget).n, want))
     return rows
 
 

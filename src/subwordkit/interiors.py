@@ -38,8 +38,6 @@ from .core import (
 from .closures import closure_dfa
 from .kernels import bits, explore, step
 
-DEFAULT_ANTICHAIN_BUDGET = 1 << 16
-
 
 @dataclass(frozen=True)
 class AntichainFamily:
@@ -156,7 +154,7 @@ def identity_substitution(alphabet):
                             tuple(_letter_nfa(alphabet, i) for i in range(alphabet.k)))
 
 
-def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=True):
+def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     """DFA over spec.gamma recognising {x | sigma(x) ⊆ L(a)}.
 
     States are antichains of powerset states of `a`.  A state accepts when
@@ -236,16 +234,15 @@ def substitution_preimage(a, spec, budget=DEFAULT_ANTICHAIN_BUDGET, minimized=Tr
     start = reduce_masks(reach(a.init_mask(), 0))
     order, delta = explore(start, successors, budget, "interior antichain states")
     final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
-    dfa = Dfa(spec.gamma, len(order), delta, 0, final)
-    return minimize(dfa) if minimized else dfa
+    return minimize(Dfa(spec.gamma, len(order), delta, 0, final))
 
 
-def up_interior(a, method="antichain", budget=None):
+def up_interior(a, method="antichain", budget=DEFAULT_BUDGET):
     """Minimal DFA of the largest upward-closed subset of L(a)."""
     return _interior(a, "up", method, budget)
 
 
-def down_interior(a, method="antichain", budget=None):
+def down_interior(a, method="antichain", budget=DEFAULT_BUDGET):
     """Minimal DFA of the largest downward-closed subset of L(a)."""
     return _interior(a, "down", method, budget)
 
@@ -253,14 +250,12 @@ def down_interior(a, method="antichain", budget=None):
 def _interior(a, direction, method, budget):
     a = as_nfa(a)
     if method == "duality":
-        b = DEFAULT_BUDGET if budget is None else budget
-        comp = complement(determinize(a, b))
-        closed = closure_dfa(comp, "down" if direction == "up" else "up", b)
+        comp = complement(determinize(a, budget))
+        closed = closure_dfa(comp, "down" if direction == "up" else "up", budget)
         return minimize(complement(closed))
     if method == "antichain":
-        b = DEFAULT_ANTICHAIN_BUDGET if budget is None else budget
         spec = up_interior_spec(a.alphabet) if direction == "up" else down_interior_spec(a.alphabet)
-        return substitution_preimage(a, spec, b)
+        return substitution_preimage(a, spec, budget)
     raise InputError(f"unknown interior method {method!r} (want duality or antichain)")
 
 

@@ -4,8 +4,9 @@ import sys
 import pytest
 
 from subwordkit import (
-    canonical_dfa, closure_dfa, down_interior, equivalent, gen_family,
-    parse_automaton, parse_dfa, serialize_automaton, sigma_star_dfa,
+    DEFAULT_BUDGET, canonical_dfa, closure_dfa, down_interior, equivalent,
+    gen_family, parse_automaton, parse_dfa, serialize_automaton, sigma_star_dfa,
+    up_interior,
 )
 from subwordkit import experiments
 from subwordkit.cli import main
@@ -215,6 +216,21 @@ def test_budget_must_be_positive(capsys, tmp_path, argv, budget):
         main(argv + inp + ["--budget", budget])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+def test_interior_without_budget_gets_the_default(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def recording(a, method, budget):
+        calls.append((method, budget))
+        return up_interior(a, method, budget)
+
+    monkeypatch.setattr("subwordkit.cli.up_interior", recording)
+    u = write_family(tmp_path, "U", 2)
+    for method in ("antichain", "duality"):
+        code, _, _ = run(capsys, ["interior", "up", "--method", method, "--in", u])
+        assert code == 0
+    assert calls == [("antichain", DEFAULT_BUDGET), ("duality", DEFAULT_BUDGET)]
 
 
 def test_pipeline_gen_closure_decide(capsys, tmp_path):

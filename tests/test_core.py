@@ -1,20 +1,22 @@
 import copy
+import inspect
 import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 
+import subwordkit
 from subwordkit import (
-    Alphabet, BudgetExceededError, Dfa, InputError, Nfa, Word, accepts, as_nfa,
-    auto_alphabet, canonical_dfa, closure_dfa, complement, completed, determinize,
+    DEFAULT_BUDGET, Alphabet, BudgetExceededError, Dfa, InputError, Nfa, Word, accepts,
+    as_nfa, auto_alphabet, canonical_dfa, closure_dfa, complement, completed, determinize,
     determinize_subsets, dfa_from_words, down_interior, empty_language_dfa,
     enumerate_upto, equivalent, gen_family, intersect, is_unambiguous, map_symbols,
     minimize, sigma_star_dfa, trim, up_interior,
 )
 from subwordkit.closures import down_closure
 from subwordkit.core import strong_components
-from subwordkit.experiments import random_dfa, random_nfa
+from subwordkit.experiments import EXPERIMENTS, random_dfa, random_nfa
 from subwordkit.kernels import explore
 
 from oracles import (
@@ -286,6 +288,20 @@ def test_budget_admits_exactly_the_state_count(build, count, what):
     with pytest.raises(BudgetExceededError) as exc:
         build(count - 1)
     assert (exc.value.what, exc.value.budget) == (what, count - 1)
+
+
+def test_every_budget_defaults_to_the_one_default():
+    budgets = {name: inspect.signature(fn).parameters["budget"].default
+               for name, fn in inspect.getmembers(subwordkit, inspect.isfunction)
+               if name in subwordkit.__all__ and "budget" in inspect.signature(fn).parameters}
+    assert {"enumerate_upto", "substitution_preimage", "up_interior"} <= set(budgets)
+    assert budgets == dict.fromkeys(budgets, DEFAULT_BUDGET)
+    runners = {exp_id: inspect.signature(runner).parameters["budget"].default
+               for exp_id, (_, runner) in EXPERIMENTS.items()
+               if "budget" in inspect.signature(runner).parameters}
+    # the twoLetter(4) cone needs more than the default
+    assert runners.pop("two-letter-binomial") == 1 << 22
+    assert runners and runners == dict.fromkeys(runners, DEFAULT_BUDGET)
 
 
 def test_minimize_size_matches_moore_oracle():

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subwordkit import (
-    BudgetExceededError, Certificate, InputError, Nfa, accepts,
-    auto_alphabet, closure_dfa, closure_equal, closure_inclusion, down_closure,
-    down_universal, dfa_closed_witness, enumerate_upto, gen_family, is_closed,
-    shortest_in_difference, sigma_star_dfa,
+    BudgetExceededError, Certificate, InputError, Nfa, accepts, auto_alphabet,
+    canonical_dfa, closure_dfa, closure_equal, closure_inclusion, down_closure,
+    down_universal, dfa_closed_witness, enumerate_upto, equivalent, gen_family,
+    is_closed, shortest_in_difference, sigma_star_dfa,
 )
 from subwordkit.experiments import random_dfa, random_nfa
 
@@ -228,7 +228,11 @@ def test_decisions_reject_nonpositive_budgets(budget):
     for decide in (lambda: is_closed(a, "down", budget),
                    lambda: closure_inclusion(a, a, "up", budget),
                    lambda: down_universal(a, budget),
-                   lambda: shortest_in_difference(a, a, budget)):
+                   lambda: shortest_in_difference(a, a, budget),
+                   # a is a DFA: canonical_dfa and equivalent only minimize it
+                   lambda: canonical_dfa(a, budget),
+                   lambda: equivalent(a, a, budget),
+                   lambda: enumerate_upto(a, 2, budget)):
         with pytest.raises(InputError):
             decide()
 

@@ -133,6 +133,8 @@ def test_interiors_reject_nonpositive_budgets(budget):
         for method in ("antichain", "duality"):
             with pytest.raises(InputError):
                 interior(a, method, budget)
+    with pytest.raises(InputError):
+        substitution_preimage(a, up_interior_spec(a.alphabet), budget)
 
 
 def test_substitution_preimage_rejects_alphabet_mismatch():
