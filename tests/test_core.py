@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import subwordkit
 from subwordkit import (
-    DEFAULT_BUDGET, Alphabet, BudgetExceededError, Dfa, InputError, Nfa, Word, accepts,
+    Alphabet, BudgetExceededError, DEFAULT_BUDGET, Dfa, InputError, Nfa, Word, accepts,
     as_nfa, auto_alphabet, canonical_dfa, closure_dfa, complement, completed, determinize,
     determinize_subsets, dfa_from_words, down_interior, empty_language_dfa,
     enumerate_upto, equivalent, gen_family, intersect, is_unambiguous, map_symbols,
