@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, InputError, VerificationError
-from .core import DEFAULT_BUDGET, canonical_dfa
+from .core import DEFAULT_BUDGET, canonical_dfa, check_budget
 from .closures import closure_dfa, down_closure, up_closure
 from .interiors import down_interior, up_interior
 from .witnesses import FAMILY_NAMES, FOOLING_NAMES, fooling_for, gen_family
@@ -125,7 +125,14 @@ def _cmd_decide(args):
     return 0 if cert.verdict else 1
 
 
-def _default_instance(family, param):
+def _bounds_instance(args):
+    """The automaton that the bounds commands check: the --in file, within
+    the default budget (they take no --budget), or the family's own."""
+    if args.inp:
+        inst = _read_automaton(args.inp)
+        check_budget(inst, DEFAULT_BUDGET)
+        return inst
+    family, param = args.family, args.param
     if family in ("U", "V", "Uprime", "E", "D", "notU"):
         return gen_family(family, param)
     if family == "downD":
@@ -140,7 +147,7 @@ def _cmd_bounds(args):
         if args.family is None or args.param is None:
             raise InputError("bounds fooling needs --family and --param")
         s = fooling_for(args.family, args.param)
-        inst = _read_automaton(args.inp) if args.inp else _default_instance(args.family, args.param)
+        inst = _bounds_instance(args)
         m = verify_fooling(inst, s)
         print(f"fooling set certified: any NFA needs at least {m} states")
         return 0
@@ -148,7 +155,7 @@ def _cmd_bounds(args):
         if args.param is None:
             raise InputError("bounds rank needs --param with --family")
         s = fooling_for(args.family, args.param)
-        inst = _read_automaton(args.inp) if args.inp else _default_instance(args.family, args.param)
+        inst = _bounds_instance(args)
         print(f"rank = {rational_rank(fooling_matrix(inst, s))}")
         print(f"UFA lower bound = {ufa_lower_bound(inst, s, args.initial_excluded)}")
         return 0

@@ -171,12 +171,13 @@ def _finite_language(a):
         return []
     # acyclic: no state with a self-loop, and every component one state
     k = t.k
-    if (any(m >> (i // k) & 1 for i, m in enumerate(t.succ_masks()))
+    succ = t.succ_masks()
+    if (any(m >> (i // k) & 1 for i, m in enumerate(succ))
             or len(strong_components(t)[0]) < t.n):
         return None
-    succ = {}
-    for p, x, q in t.transitions:
-        succ.setdefault(p, []).append((x, q))
+    # each state's (letter, target) edges, read off the table once
+    out = [[(x, r) for x in range(k) for r in kernels.bits(succ[q * k + x])]
+           for q in range(t.n)]
     words = set()
     steps = 0
     stack = [(q, ()) for q in sorted(t.initial)]
@@ -189,7 +190,7 @@ def _finite_language(a):
             words.add(path)
             if len(words) > CONE_WORD_CAP:
                 return None
-        for x, r in succ.get(q, ()):
+        for x, r in out[q]:
             stack.append((r, path + (x,)))
     if sum(len(w) + 1 for w in words) > CONE_SUFFIX_CAP:
         return None

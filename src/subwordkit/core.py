@@ -115,14 +115,15 @@ class Nfa:
     """Epsilon-free NFA.  States are 0..n-1; transitions are (p, a, q)
     triples with a a letter index; any number of initial states.
 
-    Two forms hold the transitions: the flat n*k table of successor
-    bitmasks that the kernels read (`succ_masks`) and the `transitions`
-    frozenset.  An NFA keeps the form it was built from and derives the
-    other on first use, once.  The closures build the table directly, so
-    the triple set of a closure NFA (about n²/2 triples for the
-    down-closure of a path) exists only if asked for.  Two NFAs are equal
-    when they have the same alphabet, states, transitions, initial and
-    final states.  Instances are immutable.
+    An NFA holds one form of its transitions at a time.  The kernels read
+    the flat n*k table of successor bitmasks (`succ_masks`); the closures
+    and `Dfa.to_nfa` build that table directly.  An NFA built from triples
+    keeps them only until the first `succ_masks()`, which builds the table
+    and drops them.  `transitions` is derived from the table on every read
+    and not kept, so the triple set of a closure NFA (about n²/2 triples
+    for the down-closure of a path) lives only as long as its reader holds
+    it.  Two NFAs are equal when they have the same alphabet, states,
+    transitions, initial and final states.  Instances are immutable.
     """
 
     __slots__ = ("alphabet", "n", "initial", "final", "_succ", "_transitions")
@@ -174,20 +175,15 @@ class Nfa:
 
     @property
     def transitions(self):
-        """Frozenset of (p, a, q) triples (derived from the table on first
-        access when the NFA was built from one)."""
-        t = self._transitions
-        if t is None:
-            k = self.k
-            t = frozenset((i // k, i % k, q)
-                          for i, m in enumerate(self._succ) for q in bits(m))
-            object.__setattr__(self, "_transitions", t)
-        return t
+        """Frozenset of (p, a, q) triples, derived from the table on every
+        read."""
+        return frozenset(self.transitions_sorted())
 
     def succ_masks(self):
         """Flat n*k table of successor bitmasks (kernel input form):
         entry p*k + a has bit q set for each transition (p, a, q).  Built
-        on first call and shared by all later ones."""
+        on first call, which drops the triples the NFA was built from, and
+        shared by all later ones."""
         succ = self._succ
         if succ is None:
             k = self.k
@@ -196,6 +192,7 @@ class Nfa:
                 table[p * k + a] |= 1 << q
             succ = tuple(table)
             object.__setattr__(self, "_succ", succ)
+            object.__setattr__(self, "_transitions", None)
         return succ
 
     def init_mask(self):
@@ -211,7 +208,9 @@ class Nfa:
         return m
 
     def transitions_sorted(self):
-        return sorted(self.transitions)
+        """The (p, a, q) triples in (p, a, q) order, read off the table."""
+        k = self.k
+        return [(i // k, i % k, q) for i, m in enumerate(self.succ_masks()) for q in bits(m)]
 
     def __eq__(self, other):
         if not isinstance(other, Nfa):
@@ -373,11 +372,13 @@ def accepts(a, w):
 def check_budget(a, budget):
     """Validate a state budget against the input automaton, before any work.
 
-    Raises InputError for a budget below 1, and BudgetExceededError when
-    the input alone has more states than the budget: a state count read
-    from an untrusted header is refused before anything sized by it is
-    allocated.
+    Raises InputError for an argument that is not an automaton or a budget
+    below 1, and BudgetExceededError when the input alone has more states
+    than the budget: a state count read from an untrusted header is
+    refused before anything sized by it is allocated.
     """
+    if not isinstance(a, (Nfa, Dfa)):
+        raise InputError(f"expected an automaton, got {type(a).__name__}")
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
     if a.n > budget:
@@ -414,6 +415,16 @@ def _determinize(a, budget, reduce=None):
     return Dfa(a.alphabet, len(subsets), delta, 0, final), subsets
 
 
+def _adjacency(a):
+    """Per state of the NFA a, the mask of its successors on any letter."""
+    k = a.k
+    succ = a.succ_masks()
+    adj = list(succ[0::k])
+    for x in range(1, k):
+        adj = list(map(or_, adj, succ[x::k]))
+    return adj
+
+
 def strong_components(a):
     """Strongly connected components of a's transition graph, letters ignored.
 
@@ -427,11 +438,7 @@ def strong_components(a):
     """
     a = as_nfa(a)
     n = a.n
-    k = a.k
-    succ = a.succ_masks()
-    adj = list(succ[0::k])
-    for x in range(1, k):
-        adj = list(map(or_, adj, succ[x::k]))
+    adj = _adjacency(a)
     index = [-1] * n
     low = [0] * n
     comp_of = [-1] * n
@@ -542,6 +549,8 @@ def intersect(d1, d2):
 
 def equivalent(a, b, budget=DEFAULT_BUDGET):
     """Language equality via canonical forms."""
+    check_budget(a, budget)
+    check_budget(b, budget)
     if a.alphabet != b.alphabet:
         raise InputError("equivalence needs a common alphabet")
     return canonical_dfa(a, budget) == canonical_dfa(b, budget)
@@ -554,77 +563,71 @@ def trim(a):
     with empty language trims to zero states.
     """
     a = as_nfa(a)
-    fwd = {}
+    adj = _adjacency(a)
     bwd = {}
-    for p, x, q in a.transitions:
-        fwd.setdefault(p, []).append(q)
-        bwd.setdefault(q, []).append(p)
+    for p, m in enumerate(adj):
+        for q in bits(m):
+            bwd.setdefault(q, []).append(p)
     reach = set(a.initial)
     stack = list(a.initial)
     while stack:
-        p = stack.pop()
-        for q in fwd.get(p, ()):
+        for q in bits(adj[stack.pop()]):
             if q not in reach:
                 reach.add(q)
                 stack.append(q)
     co = set(a.final)
     stack = list(a.final)
     while stack:
-        q = stack.pop()
-        for p in bwd.get(q, ()):
+        for p in bwd.get(stack.pop(), ()):
             if p not in co:
                 co.add(p)
                 stack.append(p)
     keep = sorted(reach & co)
     remap = {q: i for i, q in enumerate(keep)}
-    trans = frozenset((remap[p], x, remap[q]) for p, x, q in a.transitions
-                      if p in remap and q in remap)
-    return Nfa(a.alphabet, len(keep), trans,
-               frozenset(remap[q] for q in a.initial if q in remap),
-               frozenset(remap[q] for q in a.final if q in remap))
+    k = a.k
+    succ = a.succ_masks()
+    table = []
+    for p in keep:
+        for m in succ[p * k:p * k + k]:
+            t = 0
+            for q in bits(m):
+                if q in remap:
+                    t |= 1 << remap[q]
+            table.append(t)
+    return Nfa._of_masks(a.alphabet, len(keep), table,
+                         [remap[q] for q in a.initial if q in remap],
+                         [remap[q] for q in a.final if q in remap])
 
 
 def is_unambiguous(a):
     """No word has two distinct accepting runs.
 
-    DFAs are trivially unambiguous.  For NFAs this runs the self-product
-    check: an off-diagonal pair that is reachable (from some initial pair)
-    and co-reachable (to some final pair) yields two distinct runs on one
-    word, and conversely.
+    DFAs are trivially unambiguous.  For an NFA one forward search runs
+    over pairs of runs on a common word, as triples (p, q, split): p and q
+    are the states the two runs are in, and split says that the runs have
+    differed somewhere.  The NFA is ambiguous exactly when a split triple
+    with both states final is reachable from a pair of initial states.
     """
     if isinstance(a, Dfa):
         return True
-    b = trim(a)
-    if b.n == 0:
-        return True
-    succ = {}
-    for p, x, q in b.transitions:
-        succ.setdefault((p, x), []).append(q)
-    k = b.k
-    start = {(p, q) for p in b.initial for q in b.initial}
-    seen = set(start)
-    stack = list(start)
-    redges = {}
+    a = as_nfa(a)
+    k = a.k
+    succ = a.succ_masks()
+    final = a.final
+    stack = [(p, q, p != q) for p in a.initial for q in a.initial]
+    seen = set(stack)
     while stack:
-        p, q = stack.pop()
+        p, q, split = stack.pop()
+        if split and p in final and q in final:
+            return False
         for x in range(k):
-            for p2 in succ.get((p, x), ()):
-                for q2 in succ.get((q, x), ()):
-                    t = (p2, q2)
-                    redges.setdefault(t, set()).add((p, q))
+            for p2 in bits(succ[p * k + x]):
+                for q2 in bits(succ[q * k + x]):
+                    t = (p2, q2, split or p2 != q2)
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
-    goal = {(p, q) for p in b.final for q in b.final}
-    co = {t for t in goal if t in seen}
-    stack = list(co)
-    while stack:
-        t = stack.pop()
-        for s in redges.get(t, ()):
-            if s not in co:
-                co.add(s)
-                stack.append(s)
-    return all(p == q for p, q in co)
+    return True
 
 
 def enumerate_upto(a, maxlen, budget=DEFAULT_BUDGET):
@@ -676,17 +679,20 @@ def map_symbols(a, target, index_map):
             raise InputError(f"source letter {src} out of range")
         if not 0 <= dst < target.k:
             raise InputError(f"target letter {dst} out of range")
+    # a DFA's flat table (-1 = missing) or an NFA's mask table (0 = none)
     if isinstance(a, Dfa):
-        delta = {}
-        for p, x, q in a.transitions():
+        source, missing = a.delta_flat(), -1
+    else:
+        a = as_nfa(a)
+        source, missing = a.succ_masks(), 0
+    k = a.k
+    table = [missing] * (a.n * target.k)
+    for i, t in enumerate(source):
+        if t != missing:
+            x = i % k
             if x not in amap:
                 raise InputError(f"letter {x} used but not mapped")
-            delta[(p, amap[x])] = q
-        return Dfa(target, a.n, delta, a.initial, a.final)
-    b = as_nfa(a)
-    trans = set()
-    for p, x, q in b.transitions:
-        if x not in amap:
-            raise InputError(f"letter {x} used but not mapped")
-        trans.add((p, amap[x], q))
-    return Nfa(target, b.n, frozenset(trans), b.initial, b.final)
+            table[i // k * target.k + amap[x]] = t
+    if isinstance(a, Dfa):
+        return Dfa(target, a.n, table, a.initial, a.final)
+    return Nfa._of_masks(target, a.n, table, a.initial, a.final)

@@ -18,7 +18,6 @@ parts come out of breadth-first searches.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InputError, VerificationError
@@ -155,91 +154,71 @@ def dfa_closed_witness(d, direction):
     A DFA's language fails to be up-closed exactly when some insertion
     leaves it: uv ∈ L but uav ∉ L.  The down direction is decided on the
     complement, so there the triple satisfies uv ∉ L and uav ∈ L.  Among
-    all violating triples the result minimises (|u| + |v|, |u|), then
-    compares (u, a, v) lexicographically.
+    all violating triples the result is the least in the order of
+    (|u| + |v|, |u|, u, a, v), words compared lexicographically.
+
+    One breadth-first search runs over pairs of states of the completed
+    (up) or complemented (down) DFA; a triple leads to the pair (state
+    after uv, state after uav), and a pair is violating when its first
+    state is final and its second is not.  Level L holds the pairs first
+    reached with |u| + |v| = L, each with the triple that reached it.  It
+    lists the successors of level L - 1 first, pair by pair and letter by
+    letter (each appends one letter to v), then the pairs (p, p·a) of the
+    states p whose least access word u has length L, in breadth-first
+    order of p and then by a.  So, by induction, every level is in
+    (|u|, u, a, v) order: a successor keeps its parent's place, and the
+    pairs that start at level L have a longer u than those carried over.
+    A pair reached again keeps its first triple, the lesser one, and its
+    continuations from either triple are the same.  The first violating
+    pair therefore carries the least violating triple.  Starting only from
+    least access words loses nothing: putting the access word of its state
+    in place of u gives a violating triple that is no larger.
     """
     if not isinstance(d, Dfa):
         raise InputError("dfa_closed_witness needs a Dfa")
     _check_direction(direction)
     base = completed(d) if direction == "up" else complement(d)
-    n = base.n
     k = base.k
     flat = base.delta_flat()
-    fin = [False] * n
-    for f in base.final:
-        fin[f] = True
-
-    # Shortest (and lex-least) access word per reachable state.
+    final = base.final
+    # least access word of every reachable state, in breadth-first order
     access = {base.initial: ()}
-    queue = deque([base.initial])
     order = [base.initial]
-    while queue:
-        p = queue.popleft()
-        u = access[p]
+    for p in order:
         for x in range(k):
             q = flat[p * k + x]
             if q not in access:
-                access[q] = u + (x,)
+                access[q] = access[p] + (x,)
                 order.append(q)
-                queue.append(q)
-
-    # dist[(p, q)] = length of the shortest v with delta(p, v) final and
-    # delta(q, v) not final, via backward search from the base pairs.
-    dist = {}
-    dq = deque()
-    for p in range(n):
-        if not fin[p]:
-            continue
-        for q in range(n):
-            if not fin[q]:
-                dist[(p, q)] = 0
-                dq.append((p, q))
-    inv = {}
-    for p in range(n):
-        for q in range(n):
-            for x in range(k):
-                inv.setdefault((flat[p * k + x], flat[q * k + x]), []).append((p, q))
-    while dq:
-        pair = dq.popleft()
-        dd = dist[pair] + 1
-        for prev in inv.get(pair, ()):
-            if prev not in dist:
-                dist[prev] = dd
-                dq.append(prev)
-
-    best_cost = None
-    finalists = []
-    for p in order:
-        lu = len(access[p])
-        for x in range(k):
-            dd = dist.get((p, flat[p * k + x]))
-            if dd is None:
+    # parent[pair] = (the pair before it, last letter of v), or (None, a)
+    # for the pair (p, p·a) that starts a triple
+    parent = {}
+    level = []
+    starts = 0  # order[starts:] are the states that have not started triples
+    length = 0
+    while level or starts < len(order):
+        found = [((flat[p * k + x], flat[q * k + x]), (p, q), x)
+                 for p, q in level for x in range(k)]
+        while starts < len(order) and len(access[order[starts]]) == length:
+            p = order[starts]
+            found.extend(((p, flat[p * k + x]), None, x) for x in range(k))
+            starts += 1
+        level = []
+        for pair, prev, x in found:
+            if pair in parent:
                 continue
-            cost = (lu + dd, lu)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                finalists = [(p, x)]
-            elif cost == best_cost:
-                finalists.append((p, x))
-    if best_cost is None:
-        return Certificate(True)
-
-    def suffix(p, q, dd):
-        letters = []
-        while dd:
-            for x in range(k):
-                p2, q2 = flat[p * k + x], flat[q * k + x]
-                if dist.get((p2, q2)) == dd - 1:
-                    letters.append(x)
-                    p, q, dd = p2, q2, dd - 1
-                    break
-        return tuple(letters)
-
-    triple = min(
-        (access[p], (x,), suffix(p, flat[p * k + x], best_cost[0] - best_cost[1]))
-        for p, x in finalists)
-    u, mid, v = (Word(d.alphabet, t) for t in triple)
-    return Certificate(False, (u, mid, v))
+            parent[pair] = (prev, x)
+            if pair[0] in final and pair[1] not in final:
+                v = []
+                while prev is not None:
+                    v.append(x)
+                    pair = prev
+                    prev, x = parent[pair]
+                triple = (access[pair[0]], (x,), tuple(reversed(v)))
+                return Certificate(False, tuple(Word(d.alphabet, t) for t in triple))
+            level.append(pair)
+        length += 1
+    return Certificate(True)
 
 
 def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):

@@ -128,10 +128,13 @@ def parse_dfa(text):
 
 def _sorted_parts(a):
     """(alphabet, n, sorted initial states, final set, transitions sorted by
-    source, symbol, target) of an automaton.  A Dfa's come straight from
-    its flat table, which is already in that order."""
+    source, symbol, target) of an automaton, read off its table in that
+    order.  A Dfa's come from its flat table, so a long DFA builds no mask
+    table."""
     if isinstance(a, Dfa):
-        return a.alphabet, a.n, [a.initial], a.final, a.transitions()
+        k = a.k
+        return (a.alphabet, a.n, [a.initial], a.final,
+                ((i // k, i % k, t) for i, t in enumerate(a.delta_flat()) if t >= 0))
     nfa = as_nfa(a)
     return nfa.alphabet, nfa.n, sorted(nfa.initial), nfa.final, nfa.transitions_sorted()
 

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from subwordkit import Nfa, auto_alphabet
+from subwordkit import Dfa, Nfa, auto_alphabet
 
 
 @st.composite
@@ -58,3 +58,20 @@ def dags(draw, min_states=2, max_states=140, k=None, back_edges=0):
     initial = draw(st.sets(st.sampled_from(order[:3]), min_size=1, max_size=2))
     final = draw(st.sets(st.sampled_from(order[n // 2:]), min_size=1, max_size=4))
     return Nfa(auto_alphabet(k), n, trans, initial, final)
+
+
+@st.composite
+def dfas(draw, max_states=6, max_letters=3):
+    """Random partial DFAs with 1..max_states states over 1..max_letters
+    letters.
+
+    Missing edges, cycles, self-loops, unreachable states and any initial
+    state occur; the final set may be empty.
+    """
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, max_letters))
+    state = st.integers(0, n - 1)
+    delta = draw(st.dictionaries(st.tuples(state, st.integers(0, k - 1)), state))
+    initial = draw(state)
+    final = draw(st.sets(state, max_size=n))
+    return Dfa(auto_alphabet(k), n, delta, initial, final)

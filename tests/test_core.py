@@ -12,7 +12,7 @@ from subwordkit import (
     as_nfa, auto_alphabet, canonical_dfa, closure_dfa, complement, completed, determinize,
     determinize_subsets, dfa_from_words, down_interior, empty_language_dfa,
     enumerate_upto, equivalent, gen_family, intersect, is_unambiguous, map_symbols,
-    minimize, sigma_star_dfa, trim, up_interior,
+    minimize, serialize_automaton, sigma_star_dfa, trim, up_interior,
 )
 from subwordkit.closures import down_closure
 from subwordkit.core import strong_components
@@ -79,7 +79,11 @@ def test_nfa_validation():
 @settings(max_examples=200, deadline=None)
 @given(nfas())
 def test_nfa_from_masks_equals_nfa_from_triples(a):
+    triples = a._transitions  # the form a was built from
     b = Nfa._of_masks(a.alphabet, a.n, a.succ_masks(), a.initial, a.final)
+    assert a._transitions is None  # one form: the table replaced the triples
+    assert a.transitions == triples
+    assert serialize_automaton(a) == serialize_automaton(b)
     assert b._transitions is None  # derived only on demand
     assert b.transitions == a.transitions
     assert b.transitions_sorted() == sorted(a.transitions)
@@ -436,8 +440,11 @@ def test_is_unambiguous_known_cases():
 
 def test_is_unambiguous_against_run_counting():
     rng = random.Random(22)
-    for _ in range(120):
-        a = random_nfa(rng, rng.randint(1, 4), 2)
+    inputs = [random_nfa(rng, rng.randint(1, 4), 2) for _ in range(120)]
+    for n in (2, 3):
+        inputs += [gen_family("notU", n), down_closure(gen_family("D", n)),
+                   gen_family("downIntWitness", 2 * n + 1)]
+    for a in inputs:
         brute_ok = all(count_accepting_runs(a, w) <= 1
                        for w in all_words(a.alphabet, 5))
         if is_unambiguous(a):

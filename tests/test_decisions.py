@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import strategies as st
 
 from subwordkit import (
     BudgetExceededError, Certificate, InputError, Nfa, accepts, auto_alphabet,
-    canonical_dfa, closure_dfa, closure_equal, closure_inclusion, down_closure,
-    down_universal, dfa_closed_witness, enumerate_upto, equivalent, gen_family,
-    is_closed, shortest_in_difference, sigma_star_dfa,
+    canonical_dfa, closure_dfa, closure_equal, closure_inclusion, determinize,
+    down_closure, down_universal, dfa_closed_witness, enumerate_upto, equivalent,
+    gen_family, is_closed, shortest_in_difference, sigma_star_dfa,
 )
 from subwordkit.experiments import random_dfa, random_nfa
 
 from oracles import all_words, down_member, up_member
-from strategies import dags, nfas
+from strategies import dags, dfas, nfas
 
 
 def test_certificate_invariants():
@@ -123,6 +124,33 @@ def test_dfa_closed_witness_agrees_and_reverifies():
                 assert without and not within
             else:
                 assert within and not without
+
+
+def violating_triples(d, direction, maxlen):
+    """Every triple (u, a, v) with |u| + |v| <= maxlen that shows L(d) not
+    closed, in (|u| + |v|, |u|, u, a, v) order."""
+    k = d.k
+    for total in range(maxlen + 1):
+        for lu in range(total + 1):
+            for u, a, v in itertools.product(itertools.product(range(k), repeat=lu),
+                                             range(k),
+                                             itertools.product(range(k), repeat=total - lu)):
+                without = accepts(d, u + v)
+                within = accepts(d, u + (a,) + v)
+                if (without and not within) if direction == "up" else (within and not without):
+                    yield u, (a,), v
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=4, max_letters=2), st.sampled_from(("up", "down")))
+def test_dfa_closed_witness_is_the_least_triple(d, direction):
+    cert = dfa_closed_witness(d, direction)
+    least = next(violating_triples(d, direction, 8), None)
+    if least is not None:
+        assert not cert.verdict
+        assert tuple(w.letters for w in cert.witness) == least
+    else:
+        assert cert.verdict or len(cert.witness[0]) + len(cert.witness[2]) > 8
 
 
 def test_dfa_closed_witness_requires_direction():
@@ -246,6 +274,23 @@ def test_decisions_check_the_input_size_first():
         with pytest.raises(BudgetExceededError) as exc:
             decide()
         assert exc.value.what == "input states"
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: closure_dfa(x, "up"),
+    determinize,
+    lambda x: is_closed(x, "down"),
+    lambda x: closure_inclusion(x, gen_family("D", 2), "up"),
+    canonical_dfa,
+    lambda x: equivalent(x, gen_family("D", 2)),
+    lambda x: enumerate_upto(x, 2),
+    down_universal,
+    lambda x: shortest_in_difference(x, gen_family("D", 2)),
+], ids=["closure_dfa", "determinize", "is_closed", "closure_inclusion", "canonical_dfa",
+        "equivalent", "enumerate_upto", "down_universal", "shortest_in_difference"])
+def test_budgeted_entries_reject_a_non_automaton(call):
+    with pytest.raises(InputError, match="expected an automaton, got str"):
+        call("x")
 
 
 def test_unary_closure_equal_reduces_to_extremal_lengths():
