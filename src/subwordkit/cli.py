@@ -15,6 +15,10 @@ Automata are read from --in ('-' or omitted means stdin) in the text
 format of subwordkit.formats.  Exit codes: 0 success (and "yes" for
 decisions), 1 refuted decision or failed experiment, 2 bad input, 3
 budget exceeded, 4 certificate verification failure.
+
+Each command imports the functions it calls from their own modules when it
+runs, so a command loads only the modules it uses, and rebinding a module
+attribute (say `subwordkit.interiors.up_interior`) reaches the CLI.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExceededError, InputError, VerificationError
-from .core import DEFAULT_BUDGET, canonical_dfa, check_budget
-from .closures import closure_dfa, down_closure, up_closure
-from .interiors import down_interior, up_interior
-from .witnesses import FAMILY_NAMES, FOOLING_NAMES, fooling_for, gen_family
-from .bounds import fooling_matrix, mx_matrix, rational_rank, ufa_lower_bound, verify_fooling
-from .decisions import closure_equal, closure_inclusion, down_universal, is_closed
-from .formats import parse_automaton, render_dot, serialize_automaton
-from .experiments import describe_experiment, experiment_ids, run_experiment
+from .core import DEFAULT_BUDGET
+from .witnesses import FAMILY_NAMES, FOOLING_NAMES
 
 
 def _read_text(path):
@@ -48,10 +46,12 @@ def _write_text(path, text):
 
 
 def _read_automaton(path):
+    from .formats import parse_automaton
     return parse_automaton(_read_text(path))
 
 
 def _emit(args, automaton):
+    from .formats import render_dot, serialize_automaton
     text = render_dot(automaton) if args.format == "dot" else serialize_automaton(automaton)
     _write_text(args.out, text)
 
@@ -77,17 +77,20 @@ def _positive_int(text):
 
 
 def _cmd_gen(args):
+    from .witnesses import gen_family
     _emit(args, gen_family(args.family, args.param))
     return 0
 
 
 def _cmd_closure(args):
+    from .closures import closure_dfa
     a = _read_automaton(args.inp)
     _emit(args, closure_dfa(a, args.direction, args.budget))
     return 0
 
 
 def _cmd_interior(args):
+    from .interiors import down_interior, up_interior
     a = _read_automaton(args.inp)
     interior = up_interior if args.direction == "up" else down_interior
     _emit(args, interior(a, args.method, args.budget))
@@ -95,12 +98,14 @@ def _cmd_interior(args):
 
 
 def _cmd_minimize(args):
+    from .core import canonical_dfa
     a = _read_automaton(args.inp)
     _emit(args, canonical_dfa(a, args.budget))
     return 0
 
 
 def _cmd_decide(args):
+    from .decisions import closure_equal, closure_inclusion, down_universal, is_closed
     a = _read_automaton(args.inp)
     kind = args.kind
     if kind == "universal":
@@ -128,6 +133,9 @@ def _cmd_decide(args):
 def _bounds_instance(args):
     """The automaton that the bounds commands check: the --in file, within
     the default budget (they take no --budget), or the family's own."""
+    from .core import check_budget
+    from .closures import down_closure, up_closure
+    from .witnesses import gen_family
     if args.inp:
         inst = _read_automaton(args.inp)
         check_budget(inst, DEFAULT_BUDGET)
@@ -143,6 +151,8 @@ def _bounds_instance(args):
 
 
 def _cmd_bounds(args):
+    from .witnesses import fooling_for
+    from .bounds import fooling_matrix, mx_matrix, rational_rank, ufa_lower_bound, verify_fooling
     if args.kind == "fooling":
         if args.family is None or args.param is None:
             raise InputError("bounds fooling needs --family and --param")
@@ -166,6 +176,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_experiment(args):
+    from .experiments import describe_experiment, experiment_ids, run_experiment
     if args.id == "list":
         for exp_id in experiment_ids():
             print(f"{exp_id}: {describe_experiment(exp_id)}")

@@ -671,6 +671,8 @@ def map_symbols(a, target, index_map):
     Useful for comparing automata over a sub-alphabet with automata over a
     larger one (the language is carried letter-for-letter).
     """
+    if not isinstance(a, Dfa):
+        a = as_nfa(a)
     amap = dict(index_map)
     if len(set(amap.values())) != len(amap):
         raise InputError("symbol map must be injective")
@@ -683,7 +685,6 @@ def map_symbols(a, target, index_map):
     if isinstance(a, Dfa):
         source, missing = a.delta_flat(), -1
     else:
-        a = as_nfa(a)
         source, missing = a.succ_masks(), 0
     k = a.k
     table = [missing] * (a.n * target.k)

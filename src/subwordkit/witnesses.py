@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .core import Alphabet, Word, Nfa, Dfa, auto_alphabet, completed, dfa_from_words, minimize
 from .subwords import embeds
-from .bounds import FoolingSet, subsets_in_order
 
 FAMILY_NAMES = ("U", "V", "Uprime", "E", "D", "notU",
                 "heam", "twoLetter", "downIntWitness", "upIntWitness")
@@ -237,6 +236,7 @@ def fooling_for(name, param):
     E(param).  Sizes: 2^k pairs for U, V and notU; 2^k + 1 for Uprime,
     downD and upE; k + 1 for D.
     """
+    from .bounds import FoolingSet, subsets_in_order
     _check_k(name, param)
     k = param
     alphabet = auto_alphabet(k)

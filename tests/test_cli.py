@@ -1,8 +1,13 @@
 import io
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import subwordkit
 from subwordkit import (
     DEFAULT_BUDGET, canonical_dfa, closure_dfa, down_interior, equivalent,
     gen_family, parse_automaton, parse_dfa, serialize_automaton, sigma_star_dfa,
@@ -238,7 +243,7 @@ def test_interior_without_budget_gets_the_default(capsys, tmp_path, monkeypatch)
         calls.append((method, budget))
         return up_interior(a, method, budget)
 
-    monkeypatch.setattr("subwordkit.cli.up_interior", recording)
+    monkeypatch.setattr("subwordkit.interiors.up_interior", recording)
     u = write_family(tmp_path, "U", 2)
     for method in ("antichain", "duality"):
         code, _, _ = run(capsys, ["interior", "up", "--method", method, "--in", u])
@@ -257,3 +262,52 @@ def test_pipeline_gen_closure_decide(capsys, tmp_path):
     assert code == 0 and stdout == "up-closed: yes\n"
     assert equivalent(parse_automaton(closed.read_text()),
                       closure_dfa(gen_family("E", 3), "up"))
+
+
+# Runs in a fresh interpreter: `import subwordkit`, then the CLI command
+# given as arguments (if any), and prints its exit code and the subwordkit
+# modules loaded by then.
+_CHILD = """
+import contextlib, io, json, sys
+import subwordkit
+code = 0
+if sys.argv[1:]:
+    from subwordkit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("subwordkit."))]))
+"""
+
+
+def loaded_modules(*argv):
+    src = str(Path(subwordkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert child.returncode == 0, child.stderr
+    code, modules = json.loads(child.stdout)
+    assert code == 0, child.stderr
+    return {m.removeprefix("subwordkit.") for m in modules}
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules() == set()
+
+
+_HEAVY = {"experiments", "bounds", "interiors", "decisions"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["gen", "E", "2"], _HEAVY),
+    (["closure", "down"], _HEAVY),
+    (["closure", "up"], _HEAVY),
+    (["minimize"], _HEAVY),
+    (["interior", "up"], _HEAVY - {"interiors"}),
+    (["decide", "closed", "--direction", "up"], _HEAVY - {"decisions"}),
+])
+def test_command_loads_only_the_modules_it_calls(tmp_path, argv, unused):
+    # U(2) is up-closed, so the decision answers yes and exits 0
+    if argv[0] != "gen":
+        argv = [*argv, "--in", write_family(tmp_path, "U", 2)]
+    loaded = loaded_modules(*argv)
+    assert "cli" in loaded and not loaded & unused, sorted(loaded)

@@ -473,3 +473,5 @@ def test_map_symbols_carries_language():
     assert not accepts(m, dst.word("y"))
     with pytest.raises(InputError):
         map_symbols(d, dst, {0: 1, 1: 1})
+    with pytest.raises(InputError, match="expected an automaton, got str"):
+        map_symbols("x", dst, {0: 0})
