@@ -20,17 +20,16 @@ import importlib
 _EXPORTS = {
     "errors": ("BudgetExceededError", "FormatError", "InputError", "SubwordkitError",
                "VerificationError"),
-    "core": ("DEFAULT_BUDGET", "Alphabet", "Dfa", "Nfa", "StateSet", "Word", "accepts",
+    "core": ("DEFAULT_BUDGET", "Alphabet", "Dfa", "Nfa", "Word", "accepts",
              "as_nfa", "auto_alphabet", "canonical_dfa", "complement", "completed",
              "determinize", "determinize_subsets", "dfa_from_words", "empty_language_dfa",
              "enumerate_upto", "equivalent", "intersect", "is_unambiguous", "map_symbols",
              "minimize", "sigma_star_dfa", "trim"),
     "subwords": ("embeds", "leftmost_embedding", "minimal_words"),
     "closures": ("closure_dfa", "down_closure", "up_closure"),
-    "interiors": ("AntichainFamily", "SubstitutionSpec", "antichain_reduce",
-                  "dedekind_count", "down_interior", "down_interior_spec",
-                  "identity_substitution", "substitution_preimage", "up_interior",
-                  "up_interior_spec"),
+    "interiors": ("SubstitutionSpec", "dedekind_count", "down_interior",
+                  "down_interior_spec", "identity_substitution", "substitution_preimage",
+                  "up_interior", "up_interior_spec"),
     "witnesses": ("FAMILY_NAMES", "FOOLING_NAMES", "TwoLetterParams", "c_word", "d_word",
                   "distinguisher_words", "fooling_for", "gen_family", "max_prefix_power",
                   "min_cover_power", "morphism_value"),

@@ -16,7 +16,8 @@ Eight entry points, reached through `subwordkit.kernels`:
   `maximal` shrinks a set of a down-closure NFA to members that reach
   the rest, which have the same language;
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
-  whole algorithms over the same tables.
+  whole algorithms over the same tables; a cone state, an antichain of
+  pending suffixes, is the int bitmask of its suffix ids.
 """
 
 from __future__ import annotations
@@ -248,32 +249,42 @@ def dfa_minimize(n, k, delta, initial, finals):
 def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     """Minimal DFA of the upward closure of a finite word set.
 
-    States are inclusion-minimal antichains of pending suffixes, as sorted
-    tuples of suffix ids, numbered by `explore` (ids key distinct suffix
+    States are inclusion-minimal antichains of pending suffixes, as
+    bitmasks of suffix ids, numbered by `explore` (ids key distinct suffix
     CONTENT, so distinct states have distinct residuals and the
     construction is already minimal and canonical).  nxt is flat
     num_suffixes*k: where suffix s moves on symbol a (s itself unless a
     matches its head; the empty suffix maps to itself).  dom_masks[s] =
     bitmask of ids whose suffix embeds into s's (strict dominators; such
-    members are dropped).  start must already be reduced.  The one final
-    state, if reachable, is the antichain {empty}.
+    members are dropped).  start, a list of suffix ids, must already be
+    reduced.  The one final state, if reachable, is the antichain {empty},
+    the mask 1 << eps_id.
     """
-    cols = [nxt[a::k] for a in range(k)]  # cols[a][s] = nxt[s*k + a]
+    # cols[a][s] = 1 << nxt[s*k + a]
+    cols = [[1 << t for t in nxt[a::k]] for a in range(k)]
 
     def successors(st):
+        members = list(bits(st))
         out = []
         for col in cols:
-            members = {col[s] for s in st}
-            if len(members) > 1:
-                mask = 0
-                for s in members:
-                    mask |= 1 << s
-                members = [s for s in members if not (dom_masks[s] & mask)]
-            out.append(tuple(sorted(members)))
+            mask = 0
+            for s in members:
+                mask |= col[s]
+            keep = mask
+            if mask & (mask - 1):
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    if dom_masks[low.bit_length() - 1] & mask:
+                        keep ^= low
+                    rest ^= low
+            out.append(keep)
         return out
 
-    states, delta = explore(tuple(sorted(start)), successors, budget,
-                            "closure antichain states")
-    final = (eps_id,)
+    start_mask = 0
+    for s in start:
+        start_mask |= 1 << s
+    states, delta = explore(start_mask, successors, budget, "closure antichain states")
+    final = 1 << eps_id
     finals = [i for i, st in enumerate(states) if st == final]
     return len(states), delta, finals

@@ -7,14 +7,14 @@ least as many states as the fooling set has pairs.
 For unambiguous NFAs the sharper bound comes from the rank of the 0/1
 matrix M[i][j] = [x_i y_j in L]: a UFA needs at least rank(M) states, and
 one more if no y_i is itself in L but the UFA's initial state is useful.
-Ranks are computed exactly over the rationals.
+Ranks are computed exactly, by fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 from .errors import InputError, VerificationError
 from .core import Word, accepts, as_nfa
@@ -129,27 +129,40 @@ def fooling_matrix(l, s):
 
 
 def rational_rank(matrix):
-    """Rank of a FoolingMatrix (or any square 0/1 row table), exactly."""
+    """Rank over the rationals of a FoolingMatrix or of any table of
+    integer rows of equal length.
+
+    Bareiss elimination: the step at pivot p replaces each lower row r by
+    (p * r - r[col] * pivot row) / (previous pivot), a division that is
+    exact, so every entry stays an integer minor of the input and no
+    fraction is formed.
+    """
     entries = matrix.entries if isinstance(matrix, FoolingMatrix) else tuple(matrix)
-    rows = [[Fraction(v) for v in row] for row in entries]
+    try:
+        rows = [[index(v) for v in row] for row in entries]
+    except TypeError:
+        raise InputError("rank needs a table of integer rows") from None
     if not rows:
         return 0
     m = len(rows)
     cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise InputError("rank needs rows of equal length")
     rank = 0
+    prev = 1
     for col in range(cols):
         pivot = next((r for r in range(rank, m) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for r in range(rank + 1, m):
-            f = rows[r][col] * inv
-            if f:
-                rowr = rows[r]
-                rowp = rows[rank]
-                for c in range(col, cols):
-                    rowr[c] -= f * rowp[c]
+        rowp = rows[rank]
+        p = rowp[col]
+        for rowr in rows[rank + 1:]:
+            f = rowr[col]
+            rowr[col] = 0
+            for c in range(col + 1, cols):
+                rowr[c] = (p * rowr[c] - f * rowp[c]) // prev
+        prev = p
         rank += 1
         if rank == m:
             break

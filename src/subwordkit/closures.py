@@ -159,8 +159,6 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
             return _cone_dfa(a.alphabet, words, budget)
         return minimize(determinize(up_closure(a), budget))
     closure, reduce = _reduced_down_closure(a)
-    if reduce is None:
-        return minimize(determinize(closure, budget))
     return minimize(_determinize(closure, budget, reduce)[0])
 
 

@@ -25,8 +25,6 @@ from .kernels import bits, explore, step
 
 DEFAULT_BUDGET = 1 << 20
 
-StateSet = frozenset
-
 
 @dataclass(frozen=True)
 class Alphabet:

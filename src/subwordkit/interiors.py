@@ -12,7 +12,8 @@ The antichain construction generalises to preimages of substitutions.  A
 substitution maps a word x = b_1 ... b_m over a target alphabet to the
 language K_0 K_{b_1} ... K_{b_m}; the preimage automaton recognises
 {x | sigma(x) ⊆ L}.  Its states are inclusion-minimal antichains of
-powerset states, which is what keeps the construction finite: the number
+powerset states, each a frozenset of the int bitmasks of its minimal
+powerset states.  That is what keeps the construction finite: the number
 of antichains over an n-element universe is the Dedekind-style count
 psi(n) that dedekind_count computes, so any interior DFA has fewer than
 psi(n) states.
@@ -27,7 +28,6 @@ from .core import (
     Alphabet,
     Dfa,
     Nfa,
-    StateSet,
     as_nfa,
     check_budget,
     complement,
@@ -36,54 +36,7 @@ from .core import (
     DEFAULT_BUDGET,
 )
 from .closures import closure_dfa
-from .kernels import bits, explore, step
-
-
-@dataclass(frozen=True)
-class AntichainFamily:
-    """Family of pairwise inclusion-incomparable subsets of {0..universe-1}.
-
-    Members are kept in canonical order: by size, then by sorted member
-    list.  The empty family is allowed (it is the vacuously-accepting
-    state of the interior automaton).
-    """
-
-    universe: int
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(StateSet(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        if self.universe < 0:
-            raise InputError("universe size must be nonnegative")
-        for m in members:
-            for q in m:
-                if not 0 <= q < self.universe:
-                    raise InputError(f"antichain member uses state {q} outside the universe")
-        for i, m in enumerate(members):
-            for j, other in enumerate(members):
-                if i != j and m <= other:
-                    raise InputError("antichain members must be pairwise incomparable")
-        if list(members) != sorted(members, key=_set_key):
-            raise InputError("antichain members must be in canonical order")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def _set_key(s):
-    return (len(s), tuple(sorted(s)))
-
-
-def antichain_reduce(family, universe):
-    """Inclusion-minimal members of a family of sets, canonically ordered."""
-    sets = {StateSet(s) for s in family}
-    keep = [s for s in sets if not any(t < s for t in sets)]
-    keep.sort(key=_set_key)
-    return AntichainFamily(universe, tuple(keep))
+from .kernels import explore, step
 
 
 @dataclass(frozen=True)
@@ -91,8 +44,9 @@ class SubstitutionSpec:
     """A substitution given by automata: sigma(b_1...b_m) = K_0 K_1 ... K_m.
 
     gamma is the target alphabet; k0 recognises sigma(epsilon) and ks[i]
-    recognises the language substituted for the i-th target letter.  All
-    the K automata share one source alphabet.
+    recognises the language substituted for the i-th target letter.  Each
+    K automaton may be an NFA or a DFA and is stored as an NFA.  All the K
+    automata share one source alphabet.
     """
 
     gamma: Alphabet
@@ -100,7 +54,8 @@ class SubstitutionSpec:
     ks: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(self.ks))
+        object.__setattr__(self, "k0", as_nfa(self.k0))
+        object.__setattr__(self, "ks", tuple(as_nfa(m) for m in self.ks))
         if len(self.ks) != self.gamma.k:
             raise InputError("need one substituted language per target letter")
         for m in self.ks:
@@ -167,6 +122,8 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     """
     check_budget(a, budget)
     a = as_nfa(a)
+    if not isinstance(spec, SubstitutionSpec):
+        raise InputError(f"expected a SubstitutionSpec, got {type(spec).__name__}")
     if a.alphabet != spec.source:
         raise InputError("automaton is not over the substitution's source alphabet")
     k = a.k
@@ -215,26 +172,33 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
         reach_memo[key] = out
         return out
 
-    def reduce_masks(masks):
-        ms = set(masks)
-        keep = [m for m in ms
-                if not any(o != m and o & m == o for o in ms)]
-        keep.sort(key=lambda m: (bin(m).count("1"), tuple(bits(m))))
-        return tuple(keep)
-
     def successors(state):
         out = []
         for j in range(1, spec.gamma.k + 1):
             masks = set()
             for m in state:
                 masks |= reach(m, j)
-            out.append(reduce_masks(masks))
+            out.append(_minimal_masks(masks))
         return out
 
-    start = reduce_masks(reach(a.init_mask(), 0))
+    start = _minimal_masks(reach(a.init_mask(), 0))
     order, delta = explore(start, successors, budget, "interior antichain states")
     final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
     return minimize(Dfa(spec.gamma, len(order), delta, 0, final))
+
+
+def _minimal_masks(masks):
+    """The inclusion-minimal members of a collection of state-set masks.
+
+    One pass in order of size keeps a mask unless an already-kept mask
+    lies inside it: a mask inside it is no larger, so it came first, and
+    if it was dropped, a kept mask inside it lies inside this one too.
+    """
+    keep = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(o & m == o for o in keep):
+            keep.append(m)
+    return frozenset(keep)
 
 
 def up_interior(a, method="antichain", budget=DEFAULT_BUDGET):
@@ -280,7 +244,7 @@ def dedekind_count(n):
         comparable.append(m)
     # Branch on extremal elements first: they are comparable to the most
     # others, so the inclusion branch prunes hardest.
-    pick_order = sorted(range(size), key=lambda e: -bin(comparable[e]).count("1"))
+    pick_order = sorted(range(size), key=lambda e: -comparable[e].bit_count())
     memo = {}
 
     def count(avail):

@@ -4,8 +4,10 @@ Everything here is deliberately written with a different algorithm than
 the code under test: set-based automaton simulation instead of bitmask
 kernels, Moore refinement instead of Hopcroft, a DP table instead of the
 two-pointer subword scan, powerset brute force instead of the memoized
-antichain recursion, and Decimal arithmetic instead of the integer
-Lucas/Fibonacci formula.  Slow is fine; these only run on small inputs.
+antichain recursion, an all-pairs test instead of the one-pass antichain
+reduction, Fraction elimination instead of the fraction-free integer
+one, and Decimal arithmetic instead of the integer Lucas/Fibonacci
+formula.  Slow is fine; these only run on small inputs.
 """
 
 import itertools
@@ -240,6 +242,37 @@ def antichain_count_naive(n):
                 break
         count += ok
     return count
+
+
+def minimal_masks_naive(masks):
+    """The inclusion-minimal masks, by testing every pair."""
+    ms = set(masks)
+    return frozenset(m for m in ms if not any(o != m and o & m == o for o in ms))
+
+
+def rank_fractions(rows):
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    if not rows:
+        return 0
+    m = len(rows)
+    cols = len(rows[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, m) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        for r in range(rank + 1, m):
+            f = rows[r][col] * inv
+            if f:
+                for c in range(col, cols):
+                    rows[r][c] -= f * rows[rank][c]
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 def phi_bound(n):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subwordkit import (
     FoolingMatrix, FoolingSet, InputError, VerificationError, Word,
@@ -9,7 +10,7 @@ from subwordkit import (
     ufa_lower_bound, up_closure, verify_fooling,
 )
 
-from oracles import known_rank_matrix
+from oracles import known_rank_matrix, rank_fractions
 
 
 def test_fooling_set_validation():
@@ -97,6 +98,29 @@ def test_rational_rank_on_constructed_matrices():
         cols = rng.randint(max(r, 1), 6)
         m = known_rank_matrix(rng, rows, cols, r)
         assert rational_rank(m) == r
+
+
+@st.composite
+def low_rank_tables(draw):
+    """Integer row tables of up to 12 x 12, built as products of an m x r
+    and an r x n factor, so that every rank up to full occurs."""
+    m, r, n = draw(st.integers(0, 12)), draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_tables())
+def test_rational_rank_matches_fraction_elimination(rows):
+    assert rational_rank(rows) == rank_fractions(rows)
+
+
+def test_rational_rank_rejects_ragged_and_non_integer_tables():
+    for bad in ([[1, 0], [1]], [[1], [1, 0]], [[0.5, 1]], [1, 0]):
+        with pytest.raises(InputError):
+            rational_rank(bad)
 
 
 def test_mx_matrix_values_and_ranks():

@@ -1,49 +1,28 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subwordkit import (
-    AntichainFamily, BudgetExceededError, InputError, accepts, antichain_reduce,
-    auto_alphabet, canonical_dfa, complement, dedekind_count, determinize,
-    down_interior, down_interior_spec, gen_family, identity_substitution,
+    BudgetExceededError, InputError, SubstitutionSpec, accepts, as_nfa, auto_alphabet,
+    canonical_dfa, complement, dedekind_count, determinize, down_interior,
+    down_interior_spec, gen_family, identity_substitution, sigma_star_dfa,
     substitution_preimage, up_interior, up_interior_spec,
 )
 from subwordkit.experiments import random_nfa
+from subwordkit.interiors import _minimal_masks
 
-from oracles import all_words, antichain_count_naive, down_member, up_member
-
-
-def test_antichain_family_validation():
-    AntichainFamily(3, (frozenset([0]), frozenset([1, 2])))
-    AntichainFamily(0, ())
-    with pytest.raises(InputError):
-        AntichainFamily(3, (frozenset([0]), frozenset([0, 1])))
-    with pytest.raises(InputError):
-        AntichainFamily(2, (frozenset([2]),))
-    with pytest.raises(InputError):
-        # right members, wrong order
-        AntichainFamily(3, (frozenset([1, 2]), frozenset([0])))
+from oracles import (all_words, antichain_count_naive, down_member, minimal_masks_naive,
+                     up_member)
 
 
-def test_antichain_reduce():
-    fam = antichain_reduce([{0, 1}, {0}, {1, 2}, {0, 1, 2}, {0}], 3)
-    assert [tuple(sorted(m)) for m in fam] == [(0,), (1, 2)]
-    assert len(antichain_reduce([], 4)) == 0
-
-
-def test_antichain_reduce_result_is_reduced():
-    rng = random.Random(61)
-    for _ in range(150):
-        sets = [frozenset(q for q in range(4) if rng.random() < 0.5)
-                for _ in range(rng.randrange(6))]
-        fam = antichain_reduce(sets, 4)
-        for i, m in enumerate(fam.members):
-            for j, other in enumerate(fam.members):
-                if i != j:
-                    assert not m <= other
-        # generates the same up-set
-        for s in sets:
-            assert any(m <= s for m in fam)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 15), max_size=6))
+@example([])
+@example([0b011, 0b001, 0b110, 0b111, 0b001])
+@example([0b101, 0, 0b001, 0])
+def test_minimal_masks_matches_all_pairs(masks):
+    assert _minimal_masks(masks) == minimal_masks_naive(masks)
 
 
 def test_substitution_spec_validation():
@@ -51,8 +30,23 @@ def test_substitution_spec_validation():
     spec = down_interior_spec(ab)
     assert spec.gamma == ab and len(spec.ks) == 2
     with pytest.raises(InputError):
-        from subwordkit import SubstitutionSpec
         SubstitutionSpec(ab, spec.k0, spec.ks[:1])
+    with pytest.raises(InputError):
+        SubstitutionSpec(ab, "ab", spec.ks)
+    with pytest.raises(InputError):
+        SubstitutionSpec(ab, spec.k0, (spec.ks[0], "b"))
+    with pytest.raises(InputError):
+        substitution_preimage(gen_family("D", 2), (spec.k0,) + spec.ks)
+
+
+def test_substitution_spec_takes_dfa_parts():
+    a = gen_family("D", 2)
+    ab = a.alphabet
+    d = sigma_star_dfa(ab)
+    spec = SubstitutionSpec(ab, d, (d, d))
+    assert spec.k0 == as_nfa(d)
+    assert substitution_preimage(a, spec) == substitution_preimage(
+        a, SubstitutionSpec(ab, as_nfa(d), (as_nfa(d), as_nfa(d))))
 
 
 def test_identity_substitution_preimage_is_the_language():
