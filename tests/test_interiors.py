@@ -25,6 +25,26 @@ def test_minimal_masks_matches_all_pairs(masks):
     assert _minimal_masks(masks) == minimal_masks_naive(masks)
 
 
+def test_antichain_reduce():
+    assert _minimal_masks([0b011, 0b001, 0b110, 0b111, 0b001]) == {0b001, 0b110}
+    assert _minimal_masks([]) == frozenset()
+
+
+def test_antichain_reduce_result_is_reduced():
+    rng = random.Random(61)
+    for _ in range(150):
+        masks = [sum(1 << q for q in range(4) if rng.random() < 0.5)
+                 for _ in range(rng.randrange(6))]
+        fam = _minimal_masks(masks)
+        for m in fam:
+            for other in fam:
+                if m != other:
+                    assert other & m != m
+        # generates the same up-set
+        for s in masks:
+            assert any(m & s == m for m in fam)
+
+
 def test_substitution_spec_validation():
     ab = auto_alphabet(2)
     spec = down_interior_spec(ab)
