@@ -12,9 +12,10 @@ import argparse
 import random
 import time
 
-from subwordkit import DEFAULT_BUDGET, down_closure, gen_family
+from subwordkit import DEFAULT_BUDGET, decisions, down_closure, gen_family, up_closure
 from subwordkit import _kernels_py
 from subwordkit.closures import _dominators
+from subwordkit.experiments import random_nfa
 
 
 def bench(fn, repeat):
@@ -95,6 +96,29 @@ def workload_cone(rng):
     return "cone_closure", f"{len(gens)} generators, {num} suffixes", run
 
 
+def workload_product_search(rng):
+    # Seeded closure pairs through the product search, which steps both
+    # sides by `rows` from the package's kernel layer, whatever module is
+    # passed in.  A closure against itself has an empty difference, so
+    # that search meets every reachable pair; the others mostly stop early.
+    searches = []
+    for i in range(200):
+        k = 2 + i % 2
+        closure = up_closure if i % 2 else down_closure
+        a = closure(random_nfa(rng, rng.randint(8, 14), k, 0.15))
+        b = closure(random_nfa(rng, rng.randint(8, 14), k, 0.15))
+        searches += [(a, b), (a, a)]
+
+    def run(mod):
+        out = []
+        for a, b in searches:
+            w = decisions._shortest_in_difference(a, b, DEFAULT_BUDGET, None, None)
+            out.append(None if w is None else w.letters)
+        return out
+
+    return "product_search", "200 seeded closure pairs, n 8-14, k 2-3", run
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -106,7 +130,7 @@ def main():
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
-                 workload_cone):
+                 workload_cone, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
         best = bench(lambda: run(_kernels_py), args.repeat)
         print(f"{name:<22}{desc:<38}{best * 1000:>7.1f}ms")

@@ -1,6 +1,6 @@
 """The kernels: the hot loops of the package, on flat integer tables.
 
-Eight entry points, reached through `subwordkit.kernels`:
+Nine entry points, reached through `subwordkit.kernels`:
 
 - `explore`, the one numbering loop: every construction that numbers
   states (subset construction, both passes of `dfa_minimize`, the cone,
@@ -9,12 +9,15 @@ Eight entry points, reached through `subwordkit.kernels`:
   scanned in index order, and a construction holds at most `budget`
   states: the state that would be number budget + 1 raises
   BudgetExceededError(what, budget) instead;
-- `step`, `bits` and `maximal`, the powerset primitives: a state set is
-  an int bitmask, and every membership run and product search in the
-  package moves a set by a letter with `step` (subset construction, which
-  needs all k letters of every subset, ORs whole successor rows instead);
-  `maximal` shrinks a set of a down-closure NFA to members that reach
-  the rest, which have the same language;
+- `rows`, the powerset primitive: a state set is an int bitmask, and
+  every search that needs a subset's successors on all k letters (subset
+  construction, the product search of the decisions, `enumerate_upto`,
+  the interior antichains) gets them from one walk over its members;
+- `step`, `bits` and `maximal`: `step` moves a set by one letter, for
+  the callers that read one letter at a time (membership runs, and the
+  one- and two-state K automata of the interiors); `maximal` shrinks a
+  set of a down-closure NFA to members that reach the rest, which have
+  the same language;
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
   whole algorithms over the same tables; a cone state, an antichain of
   pending suffixes, is the int bitmask of its suffix ids.
@@ -23,6 +26,7 @@ Eight entry points, reached through `subwordkit.kernels`:
 from __future__ import annotations
 
 from array import array
+from functools import partial
 
 from .errors import BudgetExceededError
 
@@ -53,6 +57,34 @@ def explore(start, successors, budget, what, missing=None):
                 states.append(t)
             append(j)
     return states, delta
+
+
+def rows(succ, k, mask):
+    """The k successor sets of the state set `mask`, as a list indexed by
+    letter: rows(succ, k, mask)[a] == step(succ, k, mask, a).
+
+    succ is the flat table of `step`.  The members of mask are walked
+    once; then each letter ORs its column over them, starting from the
+    lowest member's entry, so a one-member set's rows are the table's own
+    ints rather than copies.
+    """
+    if not mask:
+        return [0] * k
+    low = mask & -mask
+    first = (low.bit_length() - 1) * k
+    mask ^= low
+    rest = []
+    while mask:
+        low = mask & -mask
+        rest.append((low.bit_length() - 1) * k)
+        mask ^= low
+    out = []
+    for a in range(k):
+        t = succ[first + a]
+        for base in rest:
+            t |= succ[base + a]
+        out.append(t)
+    return out
 
 
 def step(succ, k, mask, a):
@@ -114,23 +146,17 @@ def subset_construction(n, k, succ, init_mask, budget, reduce=None):
 
     succ is the flat successor table of `step`; init_mask must be nonzero.
     The empty subset is never a state: edges into it are -1.  Returns (delta,
-    subsets), subsets[i] the bitmask behind DFA state i.  Each subset's
-    bits are walked once, OR-ing each member's whole row of k successor
-    masks into the k targets.  `reduce`, when given, replaces every
-    target by a subset of it with the same language (init_mask must be
-    reduced already).  With `maximal`'s, fewer members mean fewer rows to
-    OR, and there are no more subsets than without it.
+    subsets), subsets[i] the bitmask behind DFA state i.  A subset's k
+    targets are its `rows`.  `reduce`, when given, replaces every target
+    by a subset of it with the same language (init_mask must be reduced
+    already).  With `maximal`'s, fewer members mean fewer rows to OR, and
+    there are no more subsets than without it.
     """
-
-    def successors(s):
-        row = [0] * k
-        while s:
-            low = s & -s
-            base = (low.bit_length() - 1) * k
-            for a in range(k):
-                row[a] |= succ[base + a]
-            s ^= low
-        return row if reduce is None else map(reduce, row)
+    if reduce is None:
+        successors = partial(rows, succ, k)
+    else:
+        def successors(s):
+            return map(reduce, rows(succ, k, s))
 
     subsets, delta = explore(init_mask, successors, budget,
                              "determinization subset states", missing=0)

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .errors import BudgetExceededError, InputError
 from . import kernels
-from .kernels import bits, explore, step
+from .kernels import bits, explore, rows, step
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -346,19 +346,27 @@ def dfa_from_words(alphabet, words):
 
 def accepts(a, w):
     """Membership test; w may be a Word or a sequence of letter indices."""
-    letters = w.letters if isinstance(w, Word) else tuple(w)
-    if isinstance(w, Word) and w.alphabet != a.alphabet:
-        raise InputError("word and automaton alphabets differ")
+    if not isinstance(a, Dfa):
+        a = as_nfa(a)
+    k = a.k
+    if isinstance(w, Word):
+        if w.alphabet != a.alphabet:
+            raise InputError("word and automaton alphabets differ")
+        letters = w.letters
+    else:
+        # a raw index out of range would read another state's row
+        letters = tuple(w)
+        for x in letters:
+            if not isinstance(x, int) or not 0 <= x < k:
+                raise InputError(f"letter index {x!r} out of range for alphabet of size {k}")
     if isinstance(a, Dfa):
         q = a.initial
         for x in letters:
-            q = a._delta[q * a.k + x]
+            q = a._delta[q * k + x]
             if q < 0:
                 return False
         return q in a.final
-    a = as_nfa(a)
     succ = a.succ_masks()
-    k = a.k
     cur = a.init_mask()
     for x in letters:
         cur = step(succ, k, cur, x)
@@ -646,8 +654,7 @@ def enumerate_upto(a, maxlen, budget=DEFAULT_BUDGET):
     for _ in range(maxlen):
         nxt = []
         for letters, mask in frontier:
-            for x in range(k):
-                t = step(succ, k, mask, x)
+            for x, t in enumerate(rows(succ, k, mask)):
                 if not t:
                     continue
                 visited += 1

@@ -121,18 +121,20 @@ def random_nfa(rng, n, k, density=0.18, single_initial=False):
     with the given probability, and initial/final sets are nonempty."""
     if n < 1 or k < 1:
         raise InputError("random_nfa needs n >= 1 and k >= 1")
-    trans = set()
-    for p in range(n):
-        for x in range(k):
-            for q in range(n):
-                if rng.random() < density:
-                    trans.add((p, x, q))
+    # the n*k table of successor masks, drawn in (p, x, q) order
+    succ = []
+    for _ in range(n * k):
+        m = 0
+        for q in range(n):
+            if rng.random() < density:
+                m |= 1 << q
+        succ.append(m)
     if single_initial:
         initial = {rng.randrange(n)}
     else:
         initial = {q for q in range(n) if rng.random() < 0.3} or {rng.randrange(n)}
     final = {q for q in range(n) if rng.random() < 0.3} or {rng.randrange(n)}
-    return Nfa(auto_alphabet(k), n, trans, initial, final)
+    return Nfa._of_masks(auto_alphabet(k), n, succ, initial, final)
 
 
 def random_dfa(rng, n, k, density=0.85):

@@ -36,7 +36,7 @@ from .core import (
     DEFAULT_BUDGET,
 )
 from .closures import closure_dfa
-from .kernels import explore, step
+from .kernels import explore, rows, step
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     antichain containing the empty subset (a substituted word left no run
     alive) is the rejecting sink {∅}.  The per-letter reach sets
     {delta2(S, z) | z ∈ K_j} are computed by exploring the product of the
-    powerset automaton with K_j, memoised per (S, j).
+    powerset automaton with K_j, memoised per (S, j); the powerset side
+    steps by `rows`, memoised per S and shared by every j.
     """
     check_budget(a, budget)
     a = as_nfa(a)
@@ -130,14 +131,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     succ = a.succ_masks()
     fmask = a.final_mask()
 
-    step_memo = {}
-
-    def step2(mask, x):
-        key = mask * k + x
-        t = step_memo.get(key)
-        if t is None:
-            t = step_memo[key] = step(succ, k, mask, x)
-        return t
+    rows_memo = {}
 
     ks_all = (spec.k0,) + spec.ks
     k_tables = [(m.succ_masks(), m.init_mask(), m.final_mask()) for m in ks_all]
@@ -158,11 +152,20 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
         stack = [(mask, kinit)]
         while stack:
             am, km = stack.pop()
+            arow = None
             for x in range(k):
                 km2 = step(ksucc, k, km, x)
                 if not km2:
                     continue
-                pair = (step2(am, x), km2)
+                if arow is None:
+                    # a's rows, memoised by mask, are fetched only once K_j
+                    # moves: K_j's final state often has no successors
+                    # (the down interior's {b, ε}), and walking those
+                    # masks anyway made down interiors about 25% slower
+                    arow = rows_memo.get(am)
+                    if arow is None:
+                        arow = rows_memo[am] = rows(succ, k, am)
+                pair = (arow[x], km2)
                 if pair not in seen:
                     seen.add(pair)
                     stack.append(pair)

@@ -3,7 +3,8 @@
 Everything here is deliberately written with a different algorithm than
 the code under test: set-based automaton simulation instead of bitmask
 kernels, Moore refinement instead of Hopcroft, a DP table instead of the
-two-pointer subword scan, powerset brute force instead of the memoized
+two-pointer subword scan, a frozenset pair search instead of the
+bitmask product search, powerset brute force instead of the memoized
 antichain recursion, an all-pairs test instead of the one-pass antichain
 reduction, Fraction elimination instead of the fraction-free integer
 one, and Decimal arithmetic instead of the integer Lucas/Fibonacci
@@ -47,6 +48,36 @@ def accepts_naive(a, w):
         if not cur:
             return False
     return bool(cur & final)
+
+
+def product_search_naive(a, b):
+    """Length-lex least word of L(a) minus L(b), by breadth-first search
+    over pairs of frozensets of states, built letter by letter from the
+    triples.  Returns (letters or None, pairs numbered): the start pair
+    is number 1, and each new pair whose first set is nonempty takes the
+    next number, up to the first pair that a accepts and b rejects."""
+    atrans, ainit, afin, _, alphabet = _as_triples(a)
+    btrans, binit, bfin, _, _ = _as_triples(b)
+
+    def successors(trans, cur, c):
+        return frozenset(q for p, x, q in trans if p in cur and x == c)
+
+    start = (frozenset(ainit), frozenset(binit))
+    if not start[0]:
+        return None, 1
+    if start[0] & afin and not start[1] & bfin:
+        return (), 1
+    word = {start: ()}
+    queue = [start]
+    for pair in queue:
+        for c in range(alphabet.k):
+            nxt = (successors(atrans, pair[0], c), successors(btrans, pair[1], c))
+            if nxt[0] and nxt not in word:
+                word[nxt] = word[pair] + (c,)
+                queue.append(nxt)
+                if nxt[0] & afin and not nxt[1] & bfin:
+                    return word[nxt], len(word)
+    return None, len(word)
 
 
 def down_member(a, w):

@@ -6,14 +6,16 @@ from subwordkit import Dfa, Nfa, auto_alphabet
 
 
 @st.composite
-def nfas(draw, max_states=8, max_letters=3):
-    """Random NFAs with up to max_states states over 1..max_letters letters.
+def nfas(draw, max_states=8, max_letters=3, k=None):
+    """Random NFAs with up to max_states states over 1..max_letters letters
+    (over k letters, when k is given).
 
     Cycles, self-loops, several (or no) initial states and states that no
     initial state reaches all occur, as does the zero-state NFA.
     """
     n = draw(st.integers(0, max_states))
-    k = draw(st.integers(1, max_letters))
+    if k is None:
+        k = draw(st.integers(1, max_letters))
     if n == 0:
         return Nfa(auto_alphabet(k), 0, (), (), ())
     state = st.integers(0, n - 1)

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subwordkit
 from subwordkit import (
@@ -17,7 +18,7 @@ from subwordkit import (
 from subwordkit.closures import down_closure
 from subwordkit.core import strong_components
 from subwordkit.experiments import EXPERIMENTS, random_dfa, random_nfa
-from subwordkit.kernels import explore
+from subwordkit.kernels import explore, rows, step
 
 from oracles import (
     accepts_naive, all_words, count_accepting_runs, language_upto,
@@ -197,6 +198,55 @@ def test_accepts_matches_naive_simulation():
         a = random_nfa(rng, rng.randint(1, 6), 2)
         for w in all_words(a.alphabet, 3):
             assert accepts(a, w) == accepts_naive(a, w)
+
+
+def test_accepts_rejects_letter_indices_out_of_range():
+    # Letter 2 of a two-letter alphabet would read state 1's row for
+    # letter 0 in the flat tables, and accept.
+    a = Nfa(auto_alphabet(2), 3, {(0, 0, 1), (1, 0, 2)}, {0}, {2})
+    d = Dfa(auto_alphabet(2), 3, {(0, 0): 1, (1, 0): 2}, 0, {2})
+    for m in (a, d):
+        assert accepts(m, [0, 0])
+        for w in ([2], [0, -1], [0, 0, 5], ["a1"]):
+            with pytest.raises(InputError):
+                accepts(m, w)
+
+
+def _random_nfa_from_triples(rng, n, k, density=0.18, single_initial=False):
+    # random_nfa as it was written once: the same draws, kept as triples
+    trans = set()
+    for p in range(n):
+        for x in range(k):
+            for q in range(n):
+                if rng.random() < density:
+                    trans.add((p, x, q))
+    if single_initial:
+        initial = {rng.randrange(n)}
+    else:
+        initial = {q for q in range(n) if rng.random() < 0.3} or {rng.randrange(n)}
+    final = {q for q in range(n) if rng.random() < 0.3} or {rng.randrange(n)}
+    return Nfa(auto_alphabet(k), n, trans, initial, final)
+
+
+def test_random_nfa_draws_what_the_triples_drew():
+    for seed in range(60):
+        n, k = 1 + seed % 9, 1 + seed % 3
+        density = (0.06, 0.18, 0.3)[seed % 3]
+        single = seed % 2 == 0
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        new = random_nfa(new_rng, n, k, density, single)
+        old = _random_nfa_from_triples(old_rng, n, k, density, single)
+        assert new == old and hash(new) == hash(old)
+        assert serialize_automaton(new) == serialize_automaton(old)
+        assert new_rng.random() == old_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas(max_states=10, max_letters=4), st.data())
+def test_rows_is_every_letter_of_step(a, data):
+    succ = a.succ_masks()
+    mask = data.draw(st.integers(0, (1 << a.n) - 1))
+    assert rows(succ, a.k, mask) == [step(succ, a.k, mask, x) for x in range(a.k)]
 
 
 def test_determinize_preserves_language():

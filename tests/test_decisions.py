@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subwordkit.decisions as decisions
 from subwordkit import (
     BudgetExceededError, Certificate, InputError, Nfa, accepts, auto_alphabet,
     canonical_dfa, closure_dfa, closure_equal, closure_inclusion, determinize,
@@ -13,7 +14,7 @@ from subwordkit import (
 )
 from subwordkit.experiments import random_dfa, random_nfa
 
-from oracles import all_words, down_member, up_member
+from oracles import all_words, down_member, product_search_naive, up_member
 from strategies import dags, dfas, nfas
 
 
@@ -61,6 +62,35 @@ def test_shortest_in_difference_alphabet_check_and_budget():
     d9 = gen_family("D", 9)
     with pytest.raises(BudgetExceededError):
         shortest_in_difference(sigma_star_dfa(d9.alphabet), down_closure(d9), budget=50)
+
+
+@settings(max_examples=120, deadline=None)
+@given(nfas(max_states=6, max_letters=3), st.data())
+def test_shortest_in_difference_numbers_the_pairs_of_the_naive_search(a, data):
+    # The per-side row memo must change neither the least word nor the
+    # count of pairs the budget is charged for: the search succeeds at
+    # exactly the naive count, and one less stops it.
+    b = data.draw(nfas(max_states=6, k=a.k))
+    letters, count = product_search_naive(a, b)
+    need = max(count, a.n, b.n, 1)
+    w = shortest_in_difference(a, b, need)
+    assert (None if w is None else w.letters) == letters
+    if count > max(a.n, b.n, 1):
+        with pytest.raises(BudgetExceededError):
+            shortest_in_difference(a, b, count - 1)
+
+
+def test_closure_decisions_check_alphabets_before_building_closures(monkeypatch):
+    def fail(*args):
+        raise AssertionError("closure built before the alphabet check")
+
+    monkeypatch.setattr(decisions, "_closure_nfa", fail)
+    a, b = gen_family("D", 2), gen_family("D", 3)
+    for direction in ("up", "down"):
+        with pytest.raises(InputError, match="share an alphabet"):
+            closure_inclusion(a, b, direction)
+        with pytest.raises(InputError, match="share an alphabet"):
+            closure_equal(a, b, direction)
 
 
 def test_is_closed_known_cases():
