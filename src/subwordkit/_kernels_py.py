@@ -20,7 +20,11 @@ Nine entry points, reached through `subwordkit.kernels`:
   the same language;
 - `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
   whole algorithms over the same tables; a cone state, an antichain of
-  pending suffixes, is the int bitmask of its suffix ids.
+  pending suffixes, is the int bitmask of its suffix ids.  The cone steps
+  a state by one letter from per-id tables built once per call: the
+  members whose head is the letter move to their tails, each tail drops
+  the members it embeds into, and the others stay untouched as one mask;
+  the result is the same in any numbering of the suffix ids.
 """
 
 from __future__ import annotations
@@ -285,26 +289,53 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     members are dropped).  start, a list of suffix ids, must already be
     reduced.  The one final state, if reachable, is the antichain {empty},
     the mask 1 << eps_id.
+
+    A state st steps on letter a with mask operations.  Only the members
+    in st & heads[a], the ids whose head is a, move: a moving id s adds
+    its tail, target[s], and drops ups[s], the ids that tail strictly
+    embeds into, s among them.  The members that stay are not visited.
+    This is the all-pairs reduction, because only a stayed member can be
+    dominated, and only by a tail: st is an antichain, so no stayed
+    member embeds into another; a stayed u that embeds into the tail x
+    of a.x would embed into a.x; and a tail y that embeds into a tail x
+    gives a.y embedded into a.x, both in st.  The states, their order
+    and their number do not depend on how the suffix ids are numbered.
     """
-    # cols[a][s] = 1 << nxt[s*k + a]
-    cols = [[1 << t for t in nxt[a::k]] for a in range(k)]
+    # embeds_into[t]: the ids that t strictly embeds into, the transpose of
+    # dom_masks.  It is read off their binary strings laid end to end, where
+    # bit t of the masks is every n-th character: an OR per set bit would
+    # cost a wide-int operation per embedded pair, cubic in the length of a
+    # long word.
+    n = num_suffixes
+    rows = "".join(format(dom, f"0{n}b") for dom in dom_masks)
+    embeds_into = [int(rows[n * n - 1 - t::-n], 2) for t in range(n)]
+    heads = [0] * k
+    target = [0] * n
+    ups = [0] * n
+    for s in range(n):
+        for a in range(k):
+            t = nxt[s * k + a]
+            if t != s:
+                heads[a] |= 1 << s
+                target[s] = 1 << t
+                ups[s] = embeds_into[t]
 
     def successors(st):
-        members = list(bits(st))
         out = []
-        for col in cols:
-            mask = 0
-            for s in members:
-                mask |= col[s]
-            keep = mask
-            if mask & (mask - 1):
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    if dom_masks[low.bit_length() - 1] & mask:
-                        keep ^= low
-                    rest ^= low
-            out.append(keep)
+        for head in heads:
+            moving = st & head
+            if not moving:
+                out.append(st)
+                continue
+            moved = drop = 0
+            rest = moving
+            while rest:
+                low = rest & -rest
+                s = low.bit_length() - 1
+                moved |= target[s]
+                drop |= ups[s]
+                rest ^= low
+            out.append((st | moved) & ~drop)
         return out
 
     start_mask = 0

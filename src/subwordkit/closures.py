@@ -201,7 +201,9 @@ def _cone_dfa(alphabet, words, budget):
     States of the closure's minimal DFA correspond to antichains of the
     yet-unmatched suffixes of the generating words, keyed by suffix content;
     the kernel explores them in BFS order, so the result needs no minimize
-    pass (asserted against the generic route in the tests).
+    pass (asserted against the generic route in the tests).  Suffix ids
+    are numbered word by word; the kernel's result does not depend on
+    the numbering.
     """
     gens = minimal_words(words)
     if not gens:

@@ -260,14 +260,42 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     decreasing, but it may bottom out at the empty set, which costs one
     extra letter over the strict bound one would get otherwise.
     """
+    a, b = _closure_operands(a, b, direction, budget)
+    return _inclusion(a, b, direction, budget,
+                      _closure_nfa(a, direction), _closure_nfa(b, direction))
+
+
+def closure_equal(a, b, direction, budget=DEFAULT_BUDGET):
+    """Closure equivalence; the witness names a word on the failing side.
+
+    The same certificate as closure_inclusion(a, b) and, when that holds,
+    closure_inclusion(b, a), but each closure NFA is built once and
+    searched in both orders.
+    """
+    a, b = _closure_operands(a, b, direction, budget)
+    ca = _closure_nfa(a, direction)
+    cb = _closure_nfa(b, direction)
+    first = _inclusion(a, b, direction, budget, ca, cb)
+    if not first.verdict:
+        return first
+    return _inclusion(b, a, direction, budget, cb, ca)
+
+
+def _closure_operands(a, b, direction, budget):
+    """a and b as NFAs, after every check that needs no closure."""
     check_budget(a, budget)
     check_budget(b, budget)
     a = as_nfa(a)
     b = as_nfa(b)
     _check_alphabets(a, b)
     _check_direction(direction)
-    ca, areduce = _closure_nfa(a, direction)
-    cb, breduce = _closure_nfa(b, direction)
+    return a, b
+
+
+def _inclusion(a, b, direction, budget, closure_a, closure_b):
+    """closure_inclusion(a, b) from the (NFA, reducer) pairs of
+    _closure_nfa for a and for b."""
+    (ca, areduce), (cb, breduce) = closure_a, closure_b
     w = _shortest_in_difference(ca, cb, budget, areduce, breduce)
     if w is None:
         return Certificate(True)
@@ -276,14 +304,6 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     else:
         assert len(w) <= b.n, "shortest witness escaped its length bound"
     return Certificate(False, w)
-
-
-def closure_equal(a, b, direction, budget=DEFAULT_BUDGET):
-    """Closure equivalence; the witness names a word on the failing side."""
-    first = closure_inclusion(a, b, direction, budget)
-    if not first.verdict:
-        return first
-    return closure_inclusion(b, a, direction, budget)
 
 
 def down_universal(a, budget=DEFAULT_BUDGET):

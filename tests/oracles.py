@@ -4,18 +4,20 @@ Everything here is deliberately written with a different algorithm than
 the code under test: set-based automaton simulation instead of bitmask
 kernels, Moore refinement instead of Hopcroft, a DP table instead of the
 two-pointer subword scan, a frozenset pair search instead of the
-bitmask product search, powerset brute force instead of the memoized
-antichain recursion, an all-pairs test instead of the one-pass antichain
-reduction, Fraction elimination instead of the fraction-free integer
-one, and Decimal arithmetic instead of the integer Lucas/Fibonacci
-formula.  Slow is fine; these only run on small inputs.
+bitmask product search, member-by-member cone steps with a dominance
+test for every member instead of the moving-members-only step, powerset
+brute force instead of the memoized antichain recursion, an all-pairs
+test instead of the one-pass antichain reduction, Fraction elimination
+instead of the fraction-free integer one, and Decimal arithmetic
+instead of the integer Lucas/Fibonacci formula.  Slow is fine; these
+only run on small inputs.
 """
 
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from subwordkit import Dfa, Word
+from subwordkit import BudgetExceededError, Dfa, Word
 
 
 def subword_dp(x, y):
@@ -78,6 +80,41 @@ def product_search_naive(a, b):
                 if nxt[0] & afin and not nxt[1] & bfin:
                     return word[nxt], len(word)
     return None, len(word)
+
+
+def cone_closure_naive(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
+    """kernels.cone_closure with member-by-member steps: each letter ORs
+    the target bit of every member of the antichain, then tests every
+    member of the result against its dominators.  States are numbered
+    breadth-first, letters in index order, and the state that would be
+    number budget + 1 raises BudgetExceededError."""
+    cols = [[1 << t for t in nxt[a::k]] for a in range(k)]
+
+    def successors(st):
+        members = [s for s in range(num_suffixes) if st >> s & 1]
+        out = []
+        for col in cols:
+            mask = 0
+            for s in members:
+                mask |= col[s]
+            out.append(mask & ~sum(1 << t for t in range(num_suffixes)
+                                   if mask >> t & 1 and dom_masks[t] & mask))
+        return out
+
+    start_mask = sum(1 << s for s in set(start))
+    idx = {start_mask: 0}
+    states = [start_mask]
+    delta = []
+    for st in states:
+        for t in successors(st):
+            if t not in idx:
+                if len(states) >= budget:
+                    raise BudgetExceededError("closure antichain states", budget)
+                idx[t] = len(states)
+                states.append(t)
+            delta.append(idx[t])
+    final = 1 << eps_id
+    return len(states), delta, [i for i, st in enumerate(states) if st == final]
 
 
 def down_member(a, w):

@@ -93,6 +93,33 @@ def test_closure_decisions_check_alphabets_before_building_closures(monkeypatch)
             closure_equal(a, b, direction)
 
 
+@settings(max_examples=120, deadline=None)
+@given(nfas(max_states=6, max_letters=3), st.data())
+def test_closure_equal_is_both_closure_inclusions(a, data):
+    b = data.draw(nfas(max_states=6, k=a.k))
+    for direction in ("up", "down"):
+        want = closure_inclusion(a, b, direction)
+        if want.verdict:
+            want = closure_inclusion(b, a, direction)
+        assert closure_equal(a, b, direction) == want
+
+
+def test_positive_closure_equal_builds_each_closure_once(monkeypatch):
+    calls = []
+    build = decisions._closure_nfa
+
+    def counting(a, direction):
+        calls.append(direction)
+        return build(a, direction)
+
+    monkeypatch.setattr(decisions, "_closure_nfa", counting)
+    for name, direction in (("E", "up"), ("D", "down")):
+        a = gen_family(name, 4)
+        calls.clear()
+        assert closure_equal(a, closure_dfa(a, direction), direction).verdict
+        assert calls == [direction, direction]
+
+
 def test_is_closed_known_cases():
     assert is_closed(gen_family("U", 2), "up").verdict
     assert is_closed(gen_family("V", 2), "down").verdict
