@@ -2,7 +2,10 @@
 
 Each `workload_*(rng)` builds one kernel's flat inputs and returns
 (name, description, run), where run(module) calls that kernel of the given
-kernel module; the best of --repeat runs is printed.
+kernel module; the best of --repeat runs is printed for the pure kernels
+and, when `_kernels_c` loads (a C compiler is on the PATH), for the
+compiled backend.  Only the cone has a compiled step; the other kernels of
+`_kernels_c` are the pure ones, so their two columns differ by noise.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
@@ -126,14 +129,21 @@ def main():
                         help="timed runs per kernel; best is reported")
     args = parser.parse_args()
 
-    head = f"{'kernel':<22}{'workload':<38}{'best':>9}"
+    try:
+        from subwordkit import _kernels_c
+    except ImportError as e:
+        print(f"# compiled backend unavailable: {e}")
+        _kernels_c = None
+    backends = [("pure", _kernels_py)] + ([("compiled", _kernels_c)] if _kernels_c else [])
+    head = f"{'kernel':<22}{'workload':<38}" + "".join(f"{b:>11}" for b, _ in backends)
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
                  workload_cone, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
-        best = bench(lambda: run(_kernels_py), args.repeat)
-        print(f"{name:<22}{desc:<38}{best * 1000:>7.1f}ms")
+        cols = "".join(f"{bench(lambda: run(mod), args.repeat) * 1000:>9.1f}ms"
+                       for _, mod in backends)
+        print(f"{name:<22}{desc:<38}{cols}")
 
 
 if __name__ == "__main__":

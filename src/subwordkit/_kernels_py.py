@@ -1,4 +1,5 @@
-"""The kernels: the hot loops of the package, on flat integer tables.
+"""The kernels: the hot loops of the package, on flat integer tables, in
+pure Python.
 
 Nine entry points, reached through `subwordkit.kernels`:
 
@@ -25,6 +26,11 @@ Nine entry points, reached through `subwordkit.kernels`:
   members whose head is the letter move to their tails, each tail drops
   the members it embeds into, and the others stay untouched as one mask;
   the result is the same in any numbering of the suffix ids.
+
+The cone also has a compiled step, `_kernels_c`, which `kernels` runs
+when it loads; it builds its tables with `cone_tables` here, and every
+other kernel it exports is the one here.  This `cone_closure` is its
+fallback and the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -276,6 +282,36 @@ def dfa_minimize(n, k, delta, initial, finals):
     return len(border), out, finals2
 
 
+def cone_tables(num_suffixes, k, nxt, dom_masks):
+    """The per-id tables of the cone step, built once per call of either
+    backend's `cone_closure` (arguments as there).
+
+    Returns (heads, tails, ups): heads[a], the mask of the ids whose head
+    is letter a; tails[s], the id of s's tail (s itself for the empty
+    suffix, which never moves); ups[s], the mask of the ids that s's tail
+    strictly embeds into, s among them.
+    """
+    # embeds_into[t]: the ids that t strictly embeds into, the transpose of
+    # dom_masks.  It is read off their binary strings laid end to end, where
+    # bit t of the masks is every n-th character: an OR per set bit would
+    # cost a wide-int operation per embedded pair, cubic in the length of a
+    # long word.
+    n = num_suffixes
+    rows = "".join(format(dom, f"0{n}b") for dom in dom_masks)
+    embeds_into = [int(rows[n * n - 1 - t::-n], 2) for t in range(n)]
+    heads = [0] * k
+    tails = list(range(n))
+    ups = [0] * n
+    for s in range(n):
+        for a in range(k):
+            t = nxt[s * k + a]
+            if t != s:
+                heads[a] |= 1 << s
+                tails[s] = t
+                ups[s] = embeds_into[t]
+    return heads, tails, ups
+
+
 def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     """Minimal DFA of the upward closure of a finite word set.
 
@@ -301,24 +337,8 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     gives a.y embedded into a.x, both in st.  The states, their order
     and their number do not depend on how the suffix ids are numbered.
     """
-    # embeds_into[t]: the ids that t strictly embeds into, the transpose of
-    # dom_masks.  It is read off their binary strings laid end to end, where
-    # bit t of the masks is every n-th character: an OR per set bit would
-    # cost a wide-int operation per embedded pair, cubic in the length of a
-    # long word.
-    n = num_suffixes
-    rows = "".join(format(dom, f"0{n}b") for dom in dom_masks)
-    embeds_into = [int(rows[n * n - 1 - t::-n], 2) for t in range(n)]
-    heads = [0] * k
-    target = [0] * n
-    ups = [0] * n
-    for s in range(n):
-        for a in range(k):
-            t = nxt[s * k + a]
-            if t != s:
-                heads[a] |= 1 << s
-                target[s] = 1 << t
-                ups[s] = embeds_into[t]
+    heads, tails, ups = cone_tables(num_suffixes, k, nxt, dom_masks)
+    target = [1 << t for t in tails]
 
     def successors(st):
         out = []

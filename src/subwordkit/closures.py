@@ -235,20 +235,26 @@ def _dominators(by_id, sid):
 
     Ids key distinct suffixes, and only a strictly shorter word embeds
     into another.  Every proper suffix of suffix i has an id of its own,
-    and it embeds without a test; the other shorter suffixes are tested.
+    and it embeds without a test, with all that embeds into it; only the
+    shorter suffixes not among those are tested.
     """
     order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
     dom = [0] * len(by_id)
-    for pos, i in enumerate(order):
+    shorter = same = 0  # the ids shorter than s, and those of its length so far
+    length = 0
+    for i in order:
         s = by_id[i]
+        if len(s) > length:
+            shorter |= same
+            same = 0
+            length = len(s)
+        same |= 1 << i
         if not s:
             continue
-        d = 1 << sid[s[1:]] | dom[sid[s[1:]]]
-        for j in order[:pos]:
-            v = by_id[j]
-            if len(v) == len(s):
-                break
-            if not d >> j & 1 and kernels.is_subword(v, s):
+        tail = sid[s[1:]]
+        d = 1 << tail | dom[tail]
+        for j in kernels.bits(shorter & ~d):
+            if kernels.is_subword(by_id[j], s):
                 d |= 1 << j
         dom[i] = d
     return dom

@@ -210,14 +210,17 @@ def dfa_closed_witness(d, direction):
     k = base.k
     flat = base.delta_flat()
     final = base.final
-    # least access word of every reachable state, in breadth-first order
-    access = {base.initial: ()}
+    # the reachable states in breadth-first order, each with the length of
+    # its least access word and the (state, letter) it is first reached by
+    depth = {base.initial: 0}
+    via = {}
     order = [base.initial]
     for p in order:
         for x in range(k):
             q = flat[p * k + x]
-            if q not in access:
-                access[q] = access[p] + (x,)
+            if q not in depth:
+                depth[q] = depth[p] + 1
+                via[q] = (p, x)
                 order.append(q)
     # parent[pair] = (the pair before it, last letter of v), or (None, a)
     # for the pair (p, p·a) that starts a triple
@@ -228,7 +231,7 @@ def dfa_closed_witness(d, direction):
     while level or starts < len(order):
         found = [((flat[p * k + x], flat[q * k + x]), (p, q), x)
                  for p, q in level for x in range(k)]
-        while starts < len(order) and len(access[order[starts]]) == length:
+        while starts < len(order) and depth[order[starts]] == length:
             p = order[starts]
             found.extend(((p, flat[p * k + x]), None, x) for x in range(k))
             starts += 1
@@ -243,7 +246,12 @@ def dfa_closed_witness(d, direction):
                     v.append(x)
                     pair = prev
                     prev, x = parent[pair]
-                triple = (access[pair[0]], (x,), tuple(reversed(v)))
+                u = []
+                q = pair[0]
+                while q in via:
+                    q, y = via[q]
+                    u.append(y)
+                triple = (tuple(reversed(u)), (x,), tuple(reversed(v)))
                 return Certificate(False, tuple(Word(d.alphabet, t) for t in triple))
             level.append(pair)
         length += 1

@@ -5,7 +5,8 @@ the code under test: set-based automaton simulation instead of bitmask
 kernels, Moore refinement instead of Hopcroft, a DP table instead of the
 two-pointer subword scan, a frozenset pair search instead of the
 bitmask product search, member-by-member cone steps with a dominance
-test for every member instead of the moving-members-only step, powerset
+test for every member instead of the moving-members-only step, a scan
+of every shorter suffix instead of only the undominated ones, powerset
 brute force instead of the memoized antichain recursion, an all-pairs
 test instead of the one-pass antichain reduction, Fraction elimination
 instead of the fraction-free integer one, and Decimal arithmetic
@@ -18,6 +19,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from subwordkit import BudgetExceededError, Dfa, Word
+from subwordkit.kernels import is_subword
 
 
 def subword_dp(x, y):
@@ -115,6 +117,26 @@ def cone_closure_naive(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
             delta.append(idx[t])
     final = 1 << eps_id
     return len(states), delta, [i for i, st in enumerate(states) if st == final]
+
+
+def dominators_scan(by_id, sid):
+    """closures._dominators, testing every strictly shorter suffix that
+    the tail's dominators do not already cover, one bit probe each."""
+    order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
+    dom = [0] * len(by_id)
+    for pos, i in enumerate(order):
+        s = by_id[i]
+        if not s:
+            continue
+        d = 1 << sid[s[1:]] | dom[sid[s[1:]]]
+        for j in order[:pos]:
+            v = by_id[j]
+            if len(v) == len(s):
+                break
+            if not d >> j & 1 and is_subword(v, s):
+                d |= 1 << j
+        dom[i] = d
+    return dom
 
 
 def down_member(a, w):

@@ -16,10 +16,10 @@ from subwordkit.closures import REDUCE_MIN_STATES, _dominators, _reduced_down_cl
 from subwordkit.kernels import bits, cone_closure, is_subword, step
 
 from oracles import (
-    all_words, cone_closure_naive, down_closure_saturation, down_member,
+    all_words, cone_closure_naive, dominators_scan, down_closure_saturation, down_member,
     up_closure_saturation, up_member,
 )
-from strategies import dags, nfas
+from strategies import cone_inputs, dags, nfas
 
 
 def test_up_closure_membership_semantics():
@@ -277,35 +277,17 @@ def test_cone_dominators_match_the_all_pairs_scan(seed):
     assert _dominators(by_id, sid) == scan
 
 
-@st.composite
-def cone_inputs(draw):
-    """The arguments of kernels.cone_closure, budget left out, for a random
-    finite word set over 1 to 3 letters.
-
-    Words end in one of a few shared tails, so generators share suffixes.
-    The start is the set's subword-minimal words.  Suffix ids are numbered
-    word by word as closures._cone_dfa numbers them, so that most tails
-    have the next id, in reverse, so that none does, or shuffled.
-    """
-    k = draw(st.integers(1, 3))
-    word = st.lists(st.integers(0, k - 1), max_size=5).map(tuple)
-    tails = draw(st.lists(word, min_size=1, max_size=3))
-    ends = st.tuples(word, st.sampled_from(tails)).map(lambda p: p[0] + p[1])
-    words = list(dict.fromkeys(draw(st.lists(ends, min_size=1, max_size=6))))
-    gens = [w for w in words if not any(v != w and is_subword(v, w) for v in words)]
-    sid = {}
-    for w in gens:
-        for i in range(len(w) + 1):
-            sid.setdefault(w[i:], len(sid))
-    order = draw(st.sampled_from(["words", "reversed", "shuffled"]))
-    if order == "reversed":
-        sid = {s: len(sid) - 1 - i for s, i in sid.items()}
-    elif order == "shuffled":
-        perm = draw(st.permutations(range(len(sid))))
-        sid = {s: perm[i] for s, i in sid.items()}
-    by_id = sorted(sid, key=sid.get)
-    nxt = [sid[s[1:]] if s and s[0] == a else sid[s] for s in by_id for a in range(k)]
-    return len(sid), k, nxt, sid[()], _dominators(by_id, sid), [sid[w] for w in gens]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+           st.lists(st.integers(0, k - 1), max_size=14).map(tuple), min_size=1, max_size=8)),
+       st.randoms(use_true_random=False))
+def test_dominators_match_the_scan_of_every_shorter_suffix(words, rng):
+    # Testing only the shorter ids that the tail does not already cover
+    # finds the same dominators, in any numbering of the suffixes.
+    suffixes = list(dict.fromkeys(w[i:] for w in words for i in range(len(w) + 1)))
+    rng.shuffle(suffixes)
+    sid = {s: i for i, s in enumerate(suffixes)}
+    assert _dominators(suffixes, sid) == dominators_scan(suffixes, sid)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import subwordkit.decisions as decisions
 from subwordkit import (
-    BudgetExceededError, Certificate, InputError, Nfa, accepts, auto_alphabet,
+    BudgetExceededError, Certificate, Dfa, InputError, Nfa, accepts, auto_alphabet,
     canonical_dfa, closure_dfa, closure_equal, closure_inclusion, determinize,
     down_closure, down_universal, dfa_closed_witness, enumerate_upto, equivalent,
     gen_family, is_closed, shortest_in_difference, sigma_star_dfa,
@@ -208,6 +209,26 @@ def test_dfa_closed_witness_is_the_least_triple(d, direction):
         assert tuple(w.letters for w in cert.witness) == least
     else:
         assert cert.verdict or len(cert.witness[0]) + len(cert.witness[2]) > 8
+
+
+def test_dfa_closed_witness_of_a_long_path_stays_small_in_memory():
+    # One access word per state would hold n²/2 letters; the search keeps
+    # a parent and a depth per state and spells out u for the witness only.
+    rng = random.Random(5)
+    n = 6000
+    delta = [-1] * (2 * n)
+    for i in range(n - 1):
+        delta[2 * i + rng.randrange(2)] = i + 1
+    d = Dfa(auto_alphabet(2), n, delta, 0, [n - 1])
+    tracemalloc.start()
+    try:
+        cert = dfa_closed_witness(d, "up")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(w) for w in cert.witness] == [0, 1, n - 1]
+    assert not accepts(d, cert.witness[0] + cert.witness[1] + cert.witness[2])
+    assert peak < 20_000_000
 
 
 def test_dfa_closed_witness_requires_direction():

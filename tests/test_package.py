@@ -18,9 +18,9 @@ def test_every_export_is_its_defining_modules_object():
                 assert value.__module__ in (mod.__name__, "builtins"), name
 
 
-def test_kernel_backend_is_the_pure_kernels():
+def test_kernel_backend_is_the_compiled_cone():
     from subwordkit import kernels
-    assert subwordkit.KERNEL_BACKEND == kernels.ACTIVE == "pure"
+    assert subwordkit.KERNEL_BACKEND == kernels.ACTIVE == "compiled"
 
 
 def test_unknown_name_raises_attribute_error():
