@@ -2,10 +2,9 @@
 
 Each `workload_*(rng)` builds one kernel's flat inputs and returns
 (name, description, run), where run(module) calls that kernel of the given
-kernel module; the best of --repeat runs is printed for the pure kernels
-and, when `_kernels_c` loads (a C compiler is on the PATH), for the
-compiled backend.  Only the cone has a compiled step; the other kernels of
-`_kernels_c` are the pure ones, so their two columns differ by noise.
+kernel module; the best of --repeat runs is printed for each pure kernel.
+The cone, the one kernel with a compiled step, gets a second column for
+`_cone_c` when that loads (a C compiler is on the PATH).
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
@@ -130,19 +129,18 @@ def main():
     args = parser.parse_args()
 
     try:
-        from subwordkit import _kernels_c
+        from subwordkit import _cone_c
     except ImportError as e:
-        print(f"# compiled backend unavailable: {e}")
-        _kernels_c = None
-    backends = [("pure", _kernels_py)] + ([("compiled", _kernels_c)] if _kernels_c else [])
-    head = f"{'kernel':<22}{'workload':<38}" + "".join(f"{b:>11}" for b, _ in backends)
+        print(f"# compiled cone unavailable: {e}")
+        _cone_c = None
+    head = f"{'kernel':<22}{'workload':<38}{'pure':>11}" + (f"{'compiled':>11}" if _cone_c else "")
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
                  workload_cone, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
-        cols = "".join(f"{bench(lambda: run(mod), args.repeat) * 1000:>9.1f}ms"
-                       for _, mod in backends)
+        mods = [_kernels_py] + ([_cone_c] if hasattr(_cone_c, name) else [])
+        cols = "".join(f"{bench(lambda: run(mod), args.repeat) * 1000:>9.1f}ms" for mod in mods)
         print(f"{name:<22}{desc:<38}{cols}")
 
 

@@ -1,4 +1,4 @@
-/* The antichain cone BFS of subwordkit._kernels_c: the step and numbering
+/* The antichain cone BFS of subwordkit._cone_c: the step and numbering
  * of _kernels_py.cone_closure over fixed-width bitsets.
  *
  * A state is the set of its pending suffix ids, w = ceil(n / 64) uint64
@@ -9,7 +9,7 @@
  * adds its tail, tails[s], and drops ups[s], the ids that tail strictly
  * embeds into.  A state with no moving member is its own successor.
  *
- * Plain C ABI, no Python.h; built and loaded by _kernels_c.py.
+ * Plain C ABI, no Python.h; built and loaded by _cone_c.py.
  */
 #include <stdint.h>
 #include <stdlib.h>

@@ -11,8 +11,8 @@ owns, or that group or others may write, is refused.  Any failure raises
 ImportError, and `kernels` then runs the pure cone.
 
 `cone_closure` takes the arguments and returns the results of
-`_kernels_py.cone_closure`, from the same per-id tables (`cone_tables`);
-every other kernel is the pure one, re-exported.
+`_kernels_py.cone_closure`, from the same per-id tables (`cone_tables`).
+It is the only kernel here: the others have no compiled step.
 """
 
 import ctypes
@@ -23,8 +23,7 @@ import sys
 import tempfile
 from array import array
 
-from ._kernels_py import (bits, cone_tables, dfa_minimize, explore, is_subword,
-                          maximal, rows, step, subset_construction)
+from ._kernels_py import cone_tables
 from .errors import BudgetExceededError
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cone.c")

@@ -27,10 +27,9 @@ Nine entry points, reached through `subwordkit.kernels`:
   the members it embeds into, and the others stay untouched as one mask;
   the result is the same in any numbering of the suffix ids.
 
-The cone also has a compiled step, `_kernels_c`, which `kernels` runs
-when it loads; it builds its tables with `cone_tables` here, and every
-other kernel it exports is the one here.  This `cone_closure` is its
-fallback and the oracle it is tested against.
+The cone also has a compiled step, `_cone_c`, which `kernels` runs when
+it loads; it builds its tables with `cone_tables` here.  This
+`cone_closure` is its fallback and the oracle it is tested against.
 """
 
 from __future__ import annotations

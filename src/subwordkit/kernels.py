@@ -1,7 +1,7 @@
 """The kernel layer: every caller reaches the kernels through this module.
 
 The kernels live in `_kernels_py`, in pure Python.  The cone closure has
-a second, compiled step, `_kernels_c` (`_cone.c`, built on first use);
+a second, compiled step, `_cone_c` (`_cone.c`, built on first use);
 `cone_closure` here runs it when it loads and the pure one otherwise.
 The pure one stays the fallback and the oracle it is tested against.
 Callers look the four whole algorithms up here at each call, as
@@ -34,11 +34,11 @@ _cone = None  # the backend's cone_closure, once loaded
 def _load():
     global _cone, ACTIVE
     try:
-        from . import _kernels_c
+        from . import _cone_c
     except ImportError:
         _cone, ACTIVE = _kernels_py.cone_closure, "pure"
     else:
-        _cone, ACTIVE = _kernels_c.cone_closure, "compiled"
+        _cone, ACTIVE = _cone_c.cone_closure, "compiled"
     return _cone
 
 

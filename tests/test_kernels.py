@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordkit import BudgetExceededError, kernels
-from subwordkit import _kernels_c, _kernels_py
+from subwordkit import BudgetExceededError
+from subwordkit import _cone_c, _kernels_py
 from subwordkit.closures import CONE_SUFFIX_CAP, _dominators
 
 from oracles import cone_closure_naive
@@ -23,7 +23,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def backends_agree(args, n, delta, finals):
     """Both backends give (n, delta, finals) at budget n, and one less
     stops both with the same error."""
-    for mod in (_kernels_c, _kernels_py):
+    for mod in (_cone_c, _kernels_py):
         got = mod.cone_closure(*args, n)
         assert (got[0], list(got[1]), got[2]) == (n, delta, finals), mod.__name__
         assert got[1].typecode == "i"
@@ -62,28 +62,28 @@ def test_compiled_cone_on_one_word_near_the_suffix_cap(k, length, seed):
 
 def test_loader_needs_a_compiler(tmp_path):
     with pytest.raises(ImportError, match="no C compiler"):
-        _kernels_c.load(str(tmp_path), None)
+        _cone_c.load(str(tmp_path), None)
 
 
 def test_loader_needs_a_writable_cache(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
     with pytest.raises(ImportError):
-        _kernels_c.load(str(blocker / "cache"), _kernels_c.compiler())
+        _cone_c.load(str(blocker / "cache"), _cone_c.compiler())
 
 
 def test_loader_refuses_a_cache_that_others_may_write(tmp_path):
     cache = tmp_path / "cache"
-    lib = _kernels_c.load(str(cache), _kernels_c.compiler())
+    lib = _cone_c.load(str(cache), _cone_c.compiler())
     assert lib.cone_closure
     (build,) = cache.iterdir()
     build.chmod(0o722)
     with pytest.raises(ImportError, match="not private"):
-        _kernels_c.load(str(cache), _kernels_c.compiler())
+        _cone_c.load(str(cache), _cone_c.compiler())
     build.chmod(0o700)
     cache.chmod(0o777)
     with pytest.raises(ImportError, match="not private"):
-        _kernels_c.load(str(cache), _kernels_c.compiler())
+        _cone_c.load(str(cache), _cone_c.compiler())
 
 
 PROBE = """
@@ -120,15 +120,10 @@ def test_the_compiled_step_loads_on_first_use_only():
     code = ("import sys\n"
             "from subwordkit import closure_dfa, gen_family, kernels\n"
             "closure_dfa(gen_family('D', 3), 'down')\n"
-            "print('subwordkit._kernels_c' in sys.modules, 'ctypes' in sys.modules)\n"
+            "print('subwordkit._cone_c' in sys.modules, 'ctypes' in sys.modules)\n"
             "closure_dfa(gen_family('E', 3), 'up')\n"
-            "print('subwordkit._kernels_c' in sys.modules, kernels.ACTIVE)\n")
+            "print('subwordkit._cone_c' in sys.modules, kernels.ACTIVE)\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == ["False False", "True compiled"]
 
-
-def test_the_dispatcher_is_the_active_backend():
-    kernels.cone_closure(1, 1, [0], 0, [0], [0], 1)
-    assert kernels.ACTIVE == "compiled"
-    assert kernels._cone is _kernels_c.cone_closure
