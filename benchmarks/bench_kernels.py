@@ -3,8 +3,9 @@
 Each `workload_*(rng)` builds one kernel's flat inputs and returns
 (name, description, run), where run(module) calls that kernel of the given
 kernel module; the best of --repeat runs is printed for each pure kernel.
-The cone, the one kernel with a compiled step, gets a second column for
-`_cone_c` when that loads (a C compiler is on the PATH).
+The kernels with a compiled form (the cone, subset construction and
+minimisation) get a second column for `_native` when that loads (a C
+compiler is on the PATH).
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
@@ -129,17 +130,20 @@ def main():
     args = parser.parse_args()
 
     try:
-        from subwordkit import _cone_c
+        from subwordkit import _native
     except ImportError as e:
-        print(f"# compiled cone unavailable: {e}")
-        _cone_c = None
-    head = f"{'kernel':<22}{'workload':<38}{'pure':>11}" + (f"{'compiled':>11}" if _cone_c else "")
+        print(f"# compiled kernels unavailable: {e}")
+        _native = None
+    head = f"{'kernel':<22}{'workload':<38}{'pure':>11}" + (f"{'compiled':>11}" if _native else "")
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
                  workload_cone, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
-        mods = [_kernels_py] + ([_cone_c] if hasattr(_cone_c, name) else [])
+        compiled = getattr(_native, name, None)
+        mods = [_kernels_py]
+        if compiled is not None and compiled is not getattr(_kernels_py, name, None):
+            mods.append(_native)
         cols = "".join(f"{bench(lambda: run(mod), args.repeat) * 1000:>9.1f}ms" for mod in mods)
         print(f"{name:<22}{desc:<38}{cols}")
 

@@ -27,9 +27,10 @@ Nine entry points, reached through `subwordkit.kernels`:
   the members it embeds into, and the others stay untouched as one mask;
   the result is the same in any numbering of the suffix ids.
 
-The cone also has a compiled step, `_cone_c`, which `kernels` runs when
-it loads; it builds its tables with `cone_tables` here.  This
-`cone_closure` is its fallback and the oracle it is tested against.
+`cone_closure`, `subset_construction` and `dfa_minimize` also have a
+compiled form, `_native`, which `kernels` runs when it loads; the cone
+there builds its tables with `cone_tables` here.  These three are its
+fallback and the oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -150,22 +151,24 @@ def maximal(succ, k, mask):
     return out
 
 
-def subset_construction(n, k, succ, init_mask, budget, reduce=None):
+def subset_construction(n, k, succ, init_mask, budget, reduced=False):
     """Powerset construction over bitmask subsets, numbered by `explore`.
 
     succ is the flat successor table of `step`; init_mask must be nonzero.
     The empty subset is never a state: edges into it are -1.  Returns (delta,
     subsets), subsets[i] the bitmask behind DFA state i.  A subset's k
-    targets are its `rows`.  `reduce`, when given, replaces every target
-    by a subset of it with the same language (init_mask must be reduced
-    already).  With `maximal`'s, fewer members mean fewer rows to OR, and
-    there are no more subsets than without it.
+    targets are its `rows`.  With `reduced`, every target is replaced by
+    its `maximal` part on the same table, which has the same language in
+    a down-closure NFA (init_mask must be reduced already): fewer members
+    mean fewer rows to OR, and there are no more subsets than without it.
     """
-    if reduce is None:
-        successors = partial(rows, succ, k)
-    else:
+    if reduced:
+        reduce = partial(maximal, succ, k)
+
         def successors(s):
             return map(reduce, rows(succ, k, s))
+    else:
+        successors = partial(rows, succ, k)
 
     subsets, delta = explore(init_mask, successors, budget,
                              "determinization subset states", missing=0)

@@ -1,0 +1,229 @@
+"""The compiled kernels: `_native.c`, built on first use and loaded by ctypes.
+
+Importing this module builds `_native.c` with the system C compiler (the
+first of cc, gcc and clang on the PATH) into a per-user cache,
+~/.cache/subwordkit, unless a build of the same source by the same
+command is there already, and loads it.  A build is named by the sha256
+of the source and the command, written under a temporary name and moved
+into place, so a concurrent build or an edit of the source never loads a
+stale or half-written file.  A cache directory or build that another user
+owns, or that group or others may write, is refused.  Any failure raises
+ImportError, and `kernels` then runs the pure kernels.
+
+Three kernels are compiled: `cone_closure`, `subset_construction` and
+`dfa_minimize`.  Each takes the arguments and returns the results of its
+namesake in `_kernels_py`, the cone from the same per-id tables
+(`cone_tables`).  A subset of NFA states, and a row of the successor
+table, crosses as the run of its nonzero low words, no longer than the
+Python int it came from, so no table is sized n² by the crossing: the
+rows of a 20,000-state NFA with no transitions are 40,000 empty runs.
+The other kernels have no compiled form.
+"""
+
+import ctypes
+import hashlib
+import os
+import shutil
+import sys
+import tempfile
+from array import array
+
+from ._kernels_py import cone_tables
+from .errors import BudgetExceededError
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+_MAX_STATES = 2**31 - 1  # the C kernels number states as int32, like array("i")
+_BUDGET, _NOMEM, _BADINPUT = 1, 2, 3  # return codes of _native.c
+
+
+def cache_dir():
+    """The per-user directory that holds the builds."""
+    return os.path.join(os.path.expanduser("~"), ".cache", "subwordkit")
+
+
+def compiler():
+    """The system C compiler's path, or None."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+def _private(path):
+    st = os.stat(path)
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _build(command, cache, path, source):
+    import subprocess  # only on a cache miss
+
+    fd, tmp = tempfile.mkstemp(prefix=".native-", suffix=".so", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run([*command, "-o", tmp, "-x", "c", "-"], input=source,
+                       capture_output=True, check=True, timeout=120)
+        os.chmod(tmp, 0o700)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load(cache, cc):
+    """The ctypes library of `_native.c` built by the compiler `cc` in the
+    directory `cache`: built there first unless present.  Raises
+    ImportError when any step fails."""
+    try:
+        if array("i").itemsize != 4 or array("q").itemsize != 8 or array("Q").itemsize != 8:
+            raise OSError("array('i'), array('q') and array('Q') must be 32, 64 and 64 bits")
+        if cc is None:
+            raise OSError("no C compiler on the PATH")
+        with open(SOURCE, "rb") as f:
+            source = f.read()
+        command = [cc, *FLAGS]
+        key = hashlib.sha256(source + b"\0" + "\0".join(command).encode()).hexdigest()
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        if not _private(cache):
+            raise OSError(f"{cache} is not private to this user")
+        path = os.path.join(cache, f"native-{key}.so")
+        if not os.path.exists(path):
+            _build(command, cache, path, source)
+        if not _private(path):
+            raise OSError(f"{path} is not private to this user")
+        lib = ctypes.CDLL(path)
+        ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
+        lib.cone_closure.argtypes = [i32, i32, ptr, ptr, ptr, ptr, i32, i64, ptr, ptr, ptr]
+        lib.subset_construction.argtypes = [i32, i32, ptr, ptr, ptr, i64, i32, i64,
+                                            ptr, ptr, ptr, ptr]
+        lib.dfa_minimize.argtypes = [i32, i32, ptr, i32, ptr, i64, ptr, ptr, ptr, ptr]
+        for fn in (lib.cone_closure, lib.subset_construction, lib.dfa_minimize):
+            fn.restype = ctypes.c_int
+        lib.native_free.argtypes = [ptr]
+        lib.native_free.restype = None
+        return lib
+    except Exception as e:
+        raise ImportError(f"compiled kernels unavailable: {e}") from e
+
+
+_lib = load(cache_dir(), compiler())
+
+
+def _addr(a):
+    return a.buffer_info()[0]
+
+
+def _native_words(words):
+    """array('Q') of little-endian words, in this machine's byte order."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _words(masks, width):
+    """The masks as `width` uint64 words each, low word first."""
+    out = array("Q")
+    for m in masks:
+        out.frombytes(m.to_bytes(8 * width, "little"))
+    return _native_words(out)
+
+
+def _runs(masks):
+    """The masks as runs of their nonzero low words: (words, off), mask i
+    being words[off[i]:off[i + 1]], low word first."""
+    off = array("q", [0])
+    parts = []
+    end = 0
+    for m in masks:
+        if m:
+            size = (m.bit_length() + 63) >> 6
+            parts.append(m.to_bytes(8 * size, "little"))
+            end += size
+        off.append(end)
+    words = array("Q")
+    words.frombytes(b"".join(parts))
+    return _native_words(words), off
+
+
+def _take(p, typecode, count):
+    """A copy of the C array at p of `count` items, as array(typecode);
+    p is released."""
+    try:
+        out = array(typecode, [0]) * count
+        if count:
+            ctypes.memmove(_addr(out), p, count * out.itemsize)
+        return out
+    finally:
+        _lib.native_free(p)
+
+
+def _check(rc, what, budget=None):
+    """Raise the error that the return code rc of a kernel stands for."""
+    if rc == _BUDGET:
+        raise BudgetExceededError(what, budget)
+    if rc == _NOMEM:
+        raise MemoryError(what)
+    if rc == _BADINPUT:
+        raise ValueError(f"{what}: a state out of range")
+
+
+def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
+    """_kernels_py.cone_closure, with the BFS and the step in C."""
+    heads, tails, ups = cone_tables(num_suffixes, k, nxt, dom_masks)
+    width = (num_suffixes + 63) // 64
+    start_mask = 0
+    for s in start:
+        start_mask |= 1 << s
+    args = (_words(heads, width), array("i", tails), _words(ups, width),
+            _words([start_mask], width))
+    delta_p = ctypes.c_void_p()
+    count = ctypes.c_int64()
+    final = ctypes.c_int64()
+    rc = _lib.cone_closure(num_suffixes, k, *map(_addr, args), eps_id,
+                           max(0, min(budget, _MAX_STATES)), ctypes.byref(delta_p),
+                           ctypes.byref(count), ctypes.byref(final))
+    _check(rc, "closure antichain states", budget)
+    delta = _take(delta_p, "i", count.value * k)
+    return count.value, delta, [final.value] if final.value >= 0 else []
+
+
+def subset_construction(n, k, succ, init_mask, budget, reduced=False):
+    """_kernels_py.subset_construction, in C."""
+    rows, row_off = _runs(succ)
+    init, _ = _runs([init_mask])
+    delta_p, words_p, off_p = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
+    count = ctypes.c_int64()
+    rc = _lib.subset_construction(n, k, _addr(rows), _addr(row_off), _addr(init), len(init),
+                                  int(reduced), max(0, min(budget, _MAX_STATES)),
+                                  ctypes.byref(delta_p), ctypes.byref(words_p),
+                                  ctypes.byref(off_p), ctypes.byref(count))
+    _check(rc, "determinization subset states", budget)
+    count = count.value
+    delta = _take(delta_p, "i", count * k)
+    off = _take(off_p, "q", count + 1)
+    words = _take(words_p, "Q", off[-1])
+    if len(words) == count:  # one word each
+        return delta, words.tolist()
+    raw = memoryview(_native_words(words)).cast("B")
+    subsets = [int.from_bytes(raw[8 * i:8 * j], "little") for i, j in zip(off, off[1:])]
+    return delta, subsets
+
+
+def dfa_minimize(n, k, delta, initial, finals):
+    """_kernels_py.dfa_minimize, in C."""
+    if not (isinstance(delta, array) and delta.typecode == "i"):
+        delta = array("i", delta)
+    if len(delta) != n * k:
+        raise ValueError(f"dfa_minimize: delta has {len(delta)} entries, not n*k = {n * k}")
+    finals = array("i", finals)
+    delta_p, finals_p = ctypes.c_void_p(), ctypes.c_void_p()
+    count, nfinals = ctypes.c_int64(), ctypes.c_int64()
+    rc = _lib.dfa_minimize(n, k, _addr(delta), initial, _addr(finals), len(finals),
+                           ctypes.byref(delta_p), ctypes.byref(finals_p),
+                           ctypes.byref(count), ctypes.byref(nfinals))
+    _check(rc, "dfa_minimize")
+    if not count.value:
+        return 1, [-1] * k, []
+    return (count.value, _take(delta_p, "i", count.value * k),
+            list(_take(finals_p, "i", nfinals.value)))

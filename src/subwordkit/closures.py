@@ -159,7 +159,7 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
             return _cone_dfa(a.alphabet, words, budget)
         return minimize(determinize(up_closure(a), budget))
     closure, reduce = _reduced_down_closure(a)
-    return minimize(_determinize(closure, budget, reduce)[0])
+    return minimize(_determinize(closure, budget, reduce is not None)[0])
 
 
 def _finite_language(a):
@@ -226,7 +226,7 @@ def _cone_dfa(alphabet, words, budget):
     dom = _dominators(by_id, sid)
     start = [sid[w.letters] for w in gens]
     n, delta, finals = kernels.cone_closure(num, k, nxt, sid[()], dom, start, budget)
-    return Dfa(alphabet, n, delta, 0, finals)
+    return Dfa._of_table(alphabet, n, delta, 0, finals)
 
 
 def _dominators(by_id, sid):

@@ -256,11 +256,25 @@ class Dfa:
         for q in final:
             if not 0 <= q < n:
                 raise InputError(f"final state {q} out of range")
+        self._init(alphabet, n, array("i", flat), initial, final)
+
+    @classmethod
+    def _of_table(cls, alphabet, n, delta, initial, final):
+        """DFA over a flat n*k table of a kernel or of `explore`, taken as
+        valid: every target is -1 or below n by construction.  An
+        array('i') is kept as it is, not copied."""
+        dfa = cls.__new__(cls)
+        if not isinstance(delta, array):
+            delta = array("i", delta)
+        dfa._init(alphabet, n, delta, initial, frozenset(final))
+        return dfa
+
+    def _init(self, alphabet, n, delta, initial, final):
         self.alphabet = alphabet
         self.n = n
         self.initial = initial
         self.final = final
-        self._delta = array("i", flat)
+        self._delta = delta
 
     @property
     def k(self):
@@ -402,23 +416,24 @@ def determinize_subsets(a, budget=DEFAULT_BUDGET):
     return dfa, tuple(frozenset(bits(s)) for s in subsets)
 
 
-def _determinize(a, budget, reduce=None):
+def _determinize(a, budget, reduced=False):
     """The determinized DFA and the bitmask subset behind each of its states.
 
-    `reduce`, when given, maps every subset to one with the same language
-    (see kernels.subset_construction)."""
+    With `reduced`, every subset is replaced by its `kernels.maximal` part,
+    which has the same language when `a` is a down-closure NFA (see
+    kernels.subset_construction)."""
     check_budget(a, budget)
     a = as_nfa(a)
     init = a.init_mask()
     if init == 0:
         return empty_language_dfa(a.alphabet), (0,)
-    if reduce is not None:
-        init = reduce(init)
-    delta, subsets = kernels.subset_construction(a.n, a.k, a.succ_masks(), init, budget,
-                                                 reduce)
+    succ = a.succ_masks()
+    if reduced:
+        init = kernels.maximal(succ, a.k, init)
+    delta, subsets = kernels.subset_construction(a.n, a.k, succ, init, budget, reduced)
     fmask = a.final_mask()
     final = [i for i, s in enumerate(subsets) if s & fmask]
-    return Dfa(a.alphabet, len(subsets), delta, 0, final), subsets
+    return Dfa._of_table(a.alphabet, len(subsets), delta, 0, final), subsets
 
 
 def _adjacency(a):
@@ -506,7 +521,7 @@ def minimize(d):
     if not isinstance(d, Dfa):
         raise InputError("minimize expects a Dfa; use canonical_dfa for NFAs")
     n2, delta2, finals2 = kernels.dfa_minimize(d.n, d.k, d._delta, d.initial, sorted(d.final))
-    return Dfa(d.alphabet, n2, delta2, 0, finals2)
+    return Dfa._of_table(d.alphabet, n2, delta2, 0, finals2)
 
 
 def canonical_dfa(a, budget=DEFAULT_BUDGET):

@@ -187,7 +187,7 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     start = _minimal_masks(reach(a.init_mask(), 0))
     order, delta = explore(start, successors, budget, "interior antichain states")
     final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
-    return minimize(Dfa(spec.gamma, len(order), delta, 0, final))
+    return minimize(Dfa._of_table(spec.gamma, len(order), delta, 0, final))
 
 
 def _minimal_masks(masks):

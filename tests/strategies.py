@@ -82,6 +82,55 @@ def dfas(draw, max_states=6, max_letters=3):
 
 
 @st.composite
+def wide_nfas(draw, sizes=(63, 64, 65, 129, 200)):
+    """Random NFAs with one of `sizes` states over 1 to 3 letters, whose
+    state sets span 64-bit word boundaries.
+
+    Each state has up to four edges, to any state, so that subsets hold
+    members on both sides of a boundary, and some subset constructions
+    outgrow any small budget; one or two initial states.
+    """
+    n = draw(st.sampled_from(sizes))
+    k = draw(st.integers(1, 3))
+    state = st.integers(0, n - 1)
+    trans = set()
+    for p in range(n):
+        for _ in range(draw(st.integers(0, 4))):
+            trans.add((p, draw(st.integers(0, k - 1)), draw(state)))
+    initial = draw(st.sets(state, min_size=1, max_size=2))
+    final = draw(st.sets(state, max_size=n // 4))
+    return Nfa(auto_alphabet(k), n, trans, initial, final)
+
+
+@st.composite
+def copied_dfas(draw, max_core=12, max_copies=30):
+    """Random partial DFAs of up to max_core * max_copies states, most of
+    which minimisation merges: each state of a random core DFA is copied
+    several times, and each copy's edge enters some copy of the core
+    edge's target.  The final set is drawn, empty or every state; the
+    initial state is any copy, so some copies are unreachable.
+    """
+    m = draw(st.integers(1, max_core))
+    k = draw(st.integers(1, 3))
+    copies = draw(st.integers(1, max_copies))
+    core = draw(st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, k - 1)),
+                                st.integers(0, m - 1)))
+    finals = draw(st.sampled_from(["drawn", "none", "all"]))
+    core_final = {"drawn": draw(st.sets(st.integers(0, m - 1))), "none": set(),
+                  "all": set(range(m))}[finals]
+    n = m * copies
+    delta = {}
+    for q in range(n):
+        for a in range(k):
+            t = core.get((q % m, a))
+            if t is not None:
+                delta[(q, a)] = t + m * draw(st.integers(0, copies - 1))
+    initial = draw(st.integers(0, n - 1))
+    final = {q for q in range(n) if q % m in core_final}
+    return Dfa(auto_alphabet(k), n, delta, initial, final)
+
+
+@st.composite
 def cone_inputs(draw):
     """The arguments of kernels.cone_closure, budget left out, for a random
     finite word set over 1 to 3 letters.

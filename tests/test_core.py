@@ -1,6 +1,7 @@
 import copy
 import inspect
 import random
+from array import array
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -18,6 +19,7 @@ from subwordkit import (
 from subwordkit.closures import down_closure
 from subwordkit.core import strong_components
 from subwordkit.experiments import EXPERIMENTS, random_dfa, random_nfa
+from subwordkit import kernels
 from subwordkit.kernels import explore, rows, step
 
 from oracles import (
@@ -162,6 +164,29 @@ def test_dfa_validation():
         Dfa(ab, 2, {}, 2, ())
     with pytest.raises(InputError):
         Dfa(ab, 2, [0], 0, ())
+
+
+def test_dfa_of_a_kernel_table_equals_the_checked_constructor():
+    # Dfa._of_table takes a kernel's table unchecked; Dfa(...) checks and
+    # copies the same table to an equal DFA
+    for a in (gen_family("D", 5), gen_family("notU", 4), down_closure(gen_family("E", 4))):
+        d = determinize(a)
+        n, delta, finals = kernels.dfa_minimize(d.n, d.k, d.delta_flat(), d.initial,
+                                                sorted(d.final))
+        fast = Dfa._of_table(d.alphabet, n, delta, 0, finals)
+        checked = Dfa(d.alphabet, n, delta, 0, finals)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert fast.delta_flat() is delta
+        assert checked.delta_flat() is not delta
+    empty = Dfa._of_table(auto_alphabet(2), 1, [-1, -1], 0, [])
+    assert empty == empty_language_dfa(auto_alphabet(2))
+
+
+def test_dfa_rejects_an_out_of_range_target_in_a_flat_table():
+    ab = auto_alphabet(2)
+    for bad in (2, -2):
+        with pytest.raises(InputError, match="out of range"):
+            Dfa(ab, 2, array("i", [1, bad, -1, 0]), 0, (1,))
 
 
 def test_as_nfa_passthrough_and_conversion():

@@ -1,5 +1,6 @@
-"""The compiled cone step against the pure one and the oracle, and the
-loader's fallback to the pure kernels."""
+"""The compiled kernels (the cone, subset construction and minimisation)
+against the pure ones and the oracles, and the loader's fallback to the
+pure kernels."""
 
 import os
 import random
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordkit import BudgetExceededError
-from subwordkit import _cone_c, _kernels_py
-from subwordkit.closures import CONE_SUFFIX_CAP, _dominators
+from subwordkit import BudgetExceededError, Dfa, auto_alphabet
+from subwordkit import _native, _kernels_py
+from subwordkit.closures import CONE_SUFFIX_CAP, _dominators, down_closure
+from subwordkit.kernels import maximal
 
-from oracles import cone_closure_naive
-from strategies import cone_inputs
+from oracles import cone_closure_naive, minimal_dfa_size
+from strategies import copied_dfas, cone_inputs, dags, dfas, nfas, wide_nfas
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -23,7 +25,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def backends_agree(args, n, delta, finals):
     """Both backends give (n, delta, finals) at budget n, and one less
     stops both with the same error."""
-    for mod in (_cone_c, _kernels_py):
+    for mod in (_native, _kernels_py):
         got = mod.cone_closure(*args, n)
         assert (got[0], list(got[1]), got[2]) == (n, delta, finals), mod.__name__
         assert got[1].typecode == "i"
@@ -60,45 +62,139 @@ def test_compiled_cone_on_one_word_near_the_suffix_cap(k, length, seed):
     backends_agree(args, n, delta, finals)
 
 
+def subset_backends_agree(a, reduced, budget=1 << 20):
+    """Both backends determinise the NFA a alike: the same subsets, table
+    and error at `budget`; and, when they finish, the same result at a
+    budget of exactly the subset count and the same error one below."""
+    succ, init = a.succ_masks(), a.init_mask()
+    if not init:
+        return
+    if reduced:
+        init = maximal(succ, a.k, init)
+    args = (a.n, a.k, succ, init)
+    results = []
+    for mod in (_kernels_py, _native):
+        try:
+            delta, subsets = mod.subset_construction(*args, budget, reduced)
+        except BudgetExceededError as e:
+            results.append((e.what, e.budget))
+        else:
+            assert delta.typecode == "i"
+            results.append((list(delta), list(subsets)))
+    assert results[0] == results[1]
+    if isinstance(results[0][1], int):  # both stopped
+        return
+    count = len(results[0][1])
+    for mod in (_kernels_py, _native):
+        delta, subsets = mod.subset_construction(*args, count, reduced)
+        assert (list(delta), list(subsets)) == results[0]
+        if count > 1:
+            with pytest.raises(BudgetExceededError) as e:
+                mod.subset_construction(*args, count - 1, reduced)
+            assert (e.value.what, e.value.budget) == ("determinization subset states",
+                                                      count - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nfas(), dags(), dags(back_edges=4)), st.booleans())
+def test_compiled_subset_construction_matches_the_pure_one(a, reduced):
+    subset_backends_agree(a, reduced)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dags(), dags(back_edges=4)))
+def test_compiled_subset_construction_matches_on_reduced_down_closures(a):
+    # the reduced route's own input: a down-closure NFA, `maximal` sound
+    subset_backends_agree(down_closure(a), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_nfas(), st.booleans())
+def test_compiled_subset_construction_across_word_boundaries(a, reduced):
+    # 63 to 200 states: subsets and rows of one to four words; a random
+    # table may blow up, so both backends must then stop alike at 3000
+    subset_backends_agree(a, reduced, budget=3000)
+
+
+def test_compiled_subset_construction_refuses_a_row_past_n():
+    with pytest.raises(ValueError, match="out of range"):
+        _native.subset_construction(2, 1, [0b100, 0], 1, 10)
+
+
+def minimize_backends_agree(d):
+    args = (d.n, d.k, d.delta_flat(), d.initial, sorted(d.final))
+    n, delta, finals = _kernels_py.dfa_minimize(*args)
+    got = _native.dfa_minimize(*args)
+    assert (got[0], list(got[1]), got[2]) == (n, list(delta), finals)
+    assert n == minimal_dfa_size(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas(max_states=8))
+def test_compiled_minimize_matches_the_pure_one_and_the_oracle(d):
+    minimize_backends_agree(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(copied_dfas())
+def test_compiled_minimize_merges_copied_states_like_the_pure_one(d):
+    minimize_backends_agree(d)
+
+
+def test_compiled_minimize_of_the_empty_language_and_a_bad_target():
+    d = Dfa(auto_alphabet(2), 3, [1, -1, 2, -1, 2, 2], 0, ())
+    assert _native.dfa_minimize(d.n, d.k, d.delta_flat(), 0, []) == (1, [-1, -1], [])
+    with pytest.raises(ValueError, match="out of range"):
+        _native.dfa_minimize(2, 1, [1, 2], 0, [1])
+
+
 def test_loader_needs_a_compiler(tmp_path):
     with pytest.raises(ImportError, match="no C compiler"):
-        _cone_c.load(str(tmp_path), None)
+        _native.load(str(tmp_path), None)
 
 
 def test_loader_needs_a_writable_cache(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
     with pytest.raises(ImportError):
-        _cone_c.load(str(blocker / "cache"), _cone_c.compiler())
+        _native.load(str(blocker / "cache"), _native.compiler())
 
 
 def test_loader_refuses_a_cache_that_others_may_write(tmp_path):
     cache = tmp_path / "cache"
-    lib = _cone_c.load(str(cache), _cone_c.compiler())
+    lib = _native.load(str(cache), _native.compiler())
     assert lib.cone_closure
     (build,) = cache.iterdir()
     build.chmod(0o722)
     with pytest.raises(ImportError, match="not private"):
-        _cone_c.load(str(cache), _cone_c.compiler())
+        _native.load(str(cache), _native.compiler())
     build.chmod(0o700)
     cache.chmod(0o777)
     with pytest.raises(ImportError, match="not private"):
-        _cone_c.load(str(cache), _cone_c.compiler())
+        _native.load(str(cache), _native.compiler())
 
 
 PROBE = """
-import sys
-from subwordkit import closure_dfa, gen_family, kernels, serialize_automaton
+import random
+from subwordkit import canonical_dfa, closure_dfa, gen_family, kernels, serialize_automaton
+from subwordkit.experiments import random_dfa
 print(kernels.ACTIVE)
-for name, n in (("E", 5), ("heam", 6), ("twoLetter", 2)):
-    print(serialize_automaton(closure_dfa(gen_family(name, n), "up")).replace("\\n", "|"))
+# Reading ACTIVE loads the compiled kernels, so where they build every
+# kernel below runs compiled: cones, subset constructions (U(5) up, D(9)
+# down) and minimisations, one of a 2100-state DFA.
+dfas = [closure_dfa(gen_family(name, n), "up")
+        for name, n in (("E", 5), ("heam", 6), ("twoLetter", 2), ("U", 5))]
+dfas.append(closure_dfa(gen_family("D", 9), "down"))
+dfas.append(canonical_dfa(random_dfa(random.Random(0), 2100, 2)))
+for d in dfas:
+    print(serialize_automaton(d).replace("\\n", "|"))
 """
 
 
 @pytest.mark.parametrize("broken", ["no compiler", "cache under a file"])
 def test_kernels_fall_back_to_the_pure_cone(tmp_path, broken):
     # A child with no compiler on its PATH, or whose home is a file (so no
-    # cache directory can be made), runs the pure cone, to the same DFAs.
+    # cache directory can be made), runs the pure kernels, to the same DFAs.
     home = tmp_path / "home"
     if broken == "cache under a file":
         home.write_text("")
@@ -113,16 +209,16 @@ def test_kernels_fall_back_to_the_pure_cone(tmp_path, broken):
                           capture_output=True, text=True, check=True).stdout.splitlines()
     assert out[0] == "pure"
     assert same[0] == "compiled"
-    assert out[1:] == same[1:]
+    assert len(out) == 7 and out[1:] == same[1:]
 
 
 def test_the_compiled_step_loads_on_first_use_only():
     code = ("import sys\n"
             "from subwordkit import closure_dfa, gen_family, kernels\n"
             "closure_dfa(gen_family('D', 3), 'down')\n"
-            "print('subwordkit._cone_c' in sys.modules, 'ctypes' in sys.modules)\n"
+            "print('subwordkit._native' in sys.modules, 'ctypes' in sys.modules)\n"
             "closure_dfa(gen_family('E', 3), 'up')\n"
-            "print('subwordkit._cone_c' in sys.modules, kernels.ACTIVE)\n")
+            "print('subwordkit._native' in sys.modules, kernels.ACTIVE)\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == ["False False", "True compiled"]
