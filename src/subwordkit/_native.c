@@ -304,7 +304,6 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
     int rc = set_init(&s, k, 0);
     uint64_t *acc = calloc((k + 1) * w + 1, sizeof *acc);  /* k ORs and a reduced one */
     int64_t *acc_len = calloc(k + 1, sizeof *acc_len);
-    uint64_t *dense = NULL;
     if (rc != NATIVE_OK || !acc || !acc_len) {
         rc = NATIVE_NOMEM;
         goto out;
@@ -315,17 +314,6 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
         goto out;
     }
     uint64_t *red = acc + k * w;
-    if (w == 1) {
-        /* n <= 64: every row is one word or none, so the rows fit in a
-         * dense n * k table, which the walk reads a whole state's row at a
-         * time */
-        if (!(dense = malloc((int64_t)n * k * sizeof *dense))) {
-            rc = NATIVE_NOMEM;
-            goto out;
-        }
-        for (int64_t r = 0; r < (int64_t)n * k; r++)
-            dense[r] = row_off[r + 1] > row_off[r] ? rows[row_off[r]] : 0;
-    }
     if (number(&s, init, init_len, 1, &rc) < 0)
         goto out;
     for (int64_t i = 0; i < s.count; i++) {
@@ -333,27 +321,17 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
          * stays where it is */
         const uint64_t *st = s.words + s.off[i];
         int64_t len = s.off[i + 1] - s.off[i];
-        if (dense) {
-            for (uint64_t m = st[0]; m; m &= m - 1) {
-                const uint64_t *row = dense + __builtin_ctzll(m) * (int64_t)k;
-                for (int64_t a = 0; a < k; a++)
-                    acc[a] |= row[a];
-            }
-            for (int64_t a = 0; a < k; a++)
-                acc_len[a] = acc[a] != 0;
-        } else {
-            for (int64_t j = 0; j < len; j++) {
-                for (uint64_t m = st[j]; m; m &= m - 1) {
-                    int64_t base = (j * 64 + __builtin_ctzll(m)) * k;
-                    for (int64_t a = 0; a < k; a++) {
-                        const uint64_t *row = rows + row_off[base + a];
-                        int64_t rl = row_off[base + a + 1] - row_off[base + a];
-                        uint64_t *x = acc + a * w;
-                        for (int64_t y = 0; y < rl; y++)
-                            x[y] |= row[y];
-                        if (rl > acc_len[a])
-                            acc_len[a] = rl;
-                    }
+        for (int64_t j = 0; j < len; j++) {
+            for (uint64_t m = st[j]; m; m &= m - 1) {
+                int64_t base = (j * 64 + __builtin_ctzll(m)) * k;
+                for (int64_t a = 0; a < k; a++) {
+                    const uint64_t *row = rows + row_off[base + a];
+                    int64_t rl = row_off[base + a + 1] - row_off[base + a];
+                    uint64_t *x = acc + a * w;
+                    for (int64_t y = 0; y < rl; y++)
+                        x[y] |= row[y];
+                    if (rl > acc_len[a])
+                        acc_len[a] = rl;
                 }
             }
         }
@@ -384,7 +362,6 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
 out:
     free(acc);
     free(acc_len);
-    free(dense);
     set_free(&s);
     return rc;
 }

@@ -35,12 +35,13 @@ from .errors import BudgetExceededError
 # this bound: a subset construction first runs pure with its budget cut
 # to LOAD_MIN_WORK // k subsets, and only when that stops loads the
 # compiled kernels and starts again there.  Loading them (ctypes, hashlib
-# and the library) takes 8-13 ms in process and 10-26 ms in a CLI child,
-# about what pure Hopcroft spends on 4096 states times letters: 2.6 ms on
-# the 500-state path DFA (k = 2), 34 ms on D(11)'s 2048 states (k = 12).
-# So the CLI's path closures of up to 2000 states run pure, as before,
-# while `closure down` on D(12) or notU(12) (4096 states, k = 12 or 11)
-# loads them (Python 3.11, 2 shared vCPUs).
+# and the library) takes 8-13 ms in process and 10-26 ms in a CLI child.
+# Pure Hopcroft spends 1.4-2.6 us per state and letter (2.6 ms on the
+# 500-state path DFA, k = 2; 34 ms on D(11)'s 2048 states, k = 12), so
+# loading pays from a few thousand states times letters on.  The CLI's
+# path closures of up to 2000 states (k = 2) stay pure, as before, while
+# `closure down` on D(12) or notU(12) (4096 states, k = 12 or 11) loads
+# them (Python 3.11, 2 shared vCPUs).
 LOAD_MIN_WORK = 4096
 
 _backend = None  # the module whose kernels run, once loaded
