@@ -245,8 +245,8 @@ out:
     return rc;
 }
 
-/* Whether every run of `runs` (offsets off[0..count]) fits in w words
- * and names no id of n or above. */
+/* Whether each of the `count` runs of `words` (offsets off[0..count])
+ * fits in ceil(n / 64) words and names no id of n or above. */
 static int runs_below(const int64_t *off, int64_t count, const uint64_t *words, int32_t n)
 {
     int64_t w = (n + 63) / 64;
@@ -303,7 +303,7 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
     state_set s;
     int rc = set_init(&s, k, 0);
     uint64_t *acc = calloc((k + 1) * w + 1, sizeof *acc);  /* k ORs and a reduced one */
-    int64_t *acc_len = calloc(k + 1, sizeof *acc_len);
+    int64_t *acc_len = calloc(k, sizeof *acc_len);
     if (rc != NATIVE_OK || !acc || !acc_len) {
         rc = NATIVE_NOMEM;
         goto out;
