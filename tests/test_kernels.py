@@ -223,3 +223,35 @@ def test_the_compiled_step_loads_on_first_use_only():
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == ["False False", "True compiled"]
 
+
+
+def test_a_construction_past_the_load_bound_loads_the_compiled_kernels():
+    # D(9) down has 512 subsets over 9 letters: past LOAD_MIN_WORK // 9 =
+    # 455, the pure run stops and the compiled one starts again; a budget
+    # below that bound stops the pure run with its own error.  A DFA is
+    # minimised pure below LOAD_MIN_WORK states times letters.
+    code = ("import random, sys\n"
+            "from subwordkit import BudgetExceededError, closure_dfa, gen_family, kernels\n"
+            "from subwordkit import minimize\n"
+            "from subwordkit.experiments import random_dfa\n"
+            "assert kernels.LOAD_MIN_WORK // 9 == 455\n"
+            "closure_dfa(gen_family('D', 6), 'down')\n"
+            "minimize(random_dfa(random.Random(0), kernels.LOAD_MIN_WORK // 2 - 1, 2))\n"
+            "print('subwordkit._native' in sys.modules)\n"
+            "try:\n"
+            "    closure_dfa(gen_family('D', 9), 'down', budget=100)\n"
+            "except BudgetExceededError as e:\n"
+            "    print(e.what, e.budget, 'subwordkit._native' in sys.modules)\n"
+            "d = closure_dfa(gen_family('D', 9), 'down')\n"
+            "print(d.n, 'subwordkit._native' in sys.modules, kernels.ACTIVE)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["False", "determinization subset states 100 False", "512 True compiled"]
+    code = ("import random, sys\n"
+            "from subwordkit import kernels, minimize\n"
+            "from subwordkit.experiments import random_dfa\n"
+            "minimize(random_dfa(random.Random(0), kernels.LOAD_MIN_WORK // 2, 2))\n"
+            "print('subwordkit._native' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["True"]
