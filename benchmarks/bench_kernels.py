@@ -3,9 +3,9 @@
 Each `workload_*(rng)` builds one kernel's flat inputs and returns
 (name, description, run), where run(module) calls that kernel of the given
 kernel module; the best of --repeat runs is printed for each pure kernel.
-The kernels with a compiled form (the cone, subset construction and
-minimisation) get a second column for `_native` when that loads (a C
-compiler is on the PATH).
+The kernels with a compiled form (the cone, subset construction, the
+interiors' antichain search and minimisation) get a second column for
+`_native` when that loads (a C compiler is on the PATH).
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
@@ -19,6 +19,7 @@ from subwordkit import DEFAULT_BUDGET, decisions, down_closure, gen_family, up_c
 from subwordkit import _kernels_py
 from subwordkit.closures import _dominators
 from subwordkit.experiments import random_nfa
+from subwordkit.interiors import down_interior_spec, up_interior_spec
 
 
 def bench(fn, repeat):
@@ -99,6 +100,29 @@ def workload_cone(rng):
     return "cone_closure", f"{len(gens)} generators, {num} suffixes", run
 
 
+def workload_antichain(rng):
+    # the two largest antichain interiors of the paper's families
+    searches = []
+    for name, n, make_spec in (("downIntWitness", 9, down_interior_spec),
+                               ("upIntWitness", 10, up_interior_spec)):
+        a = gen_family(name, n)
+        spec = make_spec(a.alphabet)
+        ks = [(m.n, m.succ_masks(), m.init_mask(), m.final_mask()) for m in (spec.k0,) + spec.ks]
+        searches.append((a.n, a.k, a.succ_masks(), a.init_mask(), a.final_mask(), ks))
+
+    def run(mod):
+        # a kernel module without this kernel (a compiled twin built
+        # before it) has nothing to compare: it runs the pure one
+        search = getattr(mod, "antichain_preimage", _kernels_py.antichain_preimage)
+        out = []
+        for args in searches:
+            count, delta, finals = search(*args, DEFAULT_BUDGET)
+            out.append((count, list(delta), list(finals)))
+        return out
+
+    return "antichain_preimage", "downIntWitness(9) down, upIntW(10) up", run
+
+
 def workload_product_search(rng):
     # Seeded closure pairs through the product search, which steps both
     # sides by `rows` from the package's kernel layer, whatever module is
@@ -138,7 +162,7 @@ def main():
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
-                 workload_cone, workload_product_search):
+                 workload_cone, workload_antichain, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
         compiled = getattr(_native, name, None)
         mods = [_kernels_py]

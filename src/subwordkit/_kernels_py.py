@@ -1,7 +1,7 @@
 """The kernels: the hot loops of the package, on flat integer tables, in
 pure Python.
 
-Nine entry points, reached through `subwordkit.kernels`:
+Eleven entry points, reached through `subwordkit.kernels`:
 
 - `explore`, the one numbering loop: every construction that numbers
   states (subset construction, both passes of `dfa_minimize`, the cone,
@@ -14,23 +14,26 @@ Nine entry points, reached through `subwordkit.kernels`:
   every search that needs a subset's successors on all k letters (subset
   construction, the product search of the decisions, `enumerate_upto`,
   the interior antichains) gets them from one walk over its members;
-- `step`, `bits` and `maximal`: `step` moves a set by one letter, for
-  the callers that read one letter at a time (membership runs, and the
-  one- and two-state K automata of the interiors); `maximal` shrinks a
+- `step`, `bits`, `maximal` and `minimal_masks`: `step` moves a set by
+  one letter, for the callers that read one letter at a time (membership
+  runs, and the small K automata of the interiors); `maximal` shrinks a
   set of a down-closure NFA to members that reach the rest, which have
-  the same language;
-- `is_subword`, `subset_construction`, `dfa_minimize` and `cone_closure`,
-  whole algorithms over the same tables; a cone state, an antichain of
-  pending suffixes, is the int bitmask of its suffix ids.  The cone steps
-  a state by one letter from per-id tables built once per call: the
-  members whose head is the letter move to their tails, each tail drops
-  the members it embeds into, and the others stay untouched as one mask;
-  the result is the same in any numbering of the suffix ids.
+  the same language; `minimal_masks` keeps the inclusion-minimal sets of
+  a collection;
+- `is_subword`, `subset_construction`, `dfa_minimize`, `cone_closure`
+  and `antichain_preimage`, whole algorithms over the same tables; a
+  cone state, an antichain of pending suffixes, is the int bitmask of
+  its suffix ids, and an interior state, an antichain of subsets, is the
+  frozenset of their masks.  The cone steps a state by one letter from
+  per-id tables built once per call: the members whose head is the
+  letter move to their tails, each tail drops the members it embeds
+  into, and the others stay untouched as one mask; the result is the
+  same in any numbering of the suffix ids.
 
-`cone_closure`, `subset_construction` and `dfa_minimize` also have a
-compiled form, `_native`, which `kernels` runs when it loads; the cone
-there builds its tables with `cone_tables` here.  These three are its
-fallback and the oracles it is tested against.
+`cone_closure`, `subset_construction`, `antichain_preimage` and
+`dfa_minimize` also have a compiled form, `_native`, which `kernels`
+runs when it loads; the cone there builds its tables with `cone_tables`
+here.  These four are its fallback and the oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -282,6 +285,97 @@ def dfa_minimize(n, k, delta, initial, finals):
     final_blocks = {blk[q] for q in fin}
     finals2 = [i for i, b in enumerate(border) if b in final_blocks]
     return len(border), out, finals2
+
+
+def antichain_preimage(n, k, succ, init_mask, final_mask, ks, budget):
+    """The antichain search of interiors.substitution_preimage: the DFA,
+    over len(ks) - 1 target letters, of {x | sigma(x) ⊆ L}, where L is
+    the language of the NFA (n states, k letters, the flat table `succ`
+    of `step`, init_mask and final_mask) and sigma substitutes L(K_j)
+    for target letter j and L(K_0) for the empty word.  ks[j] is K_j as
+    (states, succ, init_mask, final_mask) over the same k letters.
+
+    A state is an inclusion-minimal antichain of powerset states of the
+    NFA, the frozenset of their masks, numbered by `explore`.  It accepts
+    when every member meets final_mask, so the empty antichain (no
+    constraint on the word read so far) accepts everything, and any
+    antichain holding the empty set (a substituted word left no run
+    alive) is the rejecting sink {0}.  The per-letter reach sets
+    {delta2(S, z) | z ∈ K_j} are computed by exploring the product of the
+    powerset automaton with K_j, memoised per (S, j); the powerset side
+    steps by `rows`, memoised per S and shared by every j.  Returns
+    (count, delta, finals): delta has count * (len(ks) - 1) targets and
+    finals lists the accepting states, ascending.
+    """
+    rows_memo = {}
+    reach_memo = {}
+
+    def reach(mask, j):
+        """All powerset states delta2(mask, z) with z accepted by K_j."""
+        key = (mask, j)
+        out = reach_memo.get(key)
+        if out is not None:
+            return out
+        _, ksucc, kinit, kfin = ks[j]
+        collected = set()
+        if kinit & kfin:
+            collected.add(mask)
+        seen = {(mask, kinit)}
+        stack = [(mask, kinit)]
+        while stack:
+            am, km = stack.pop()
+            arow = None
+            for x in range(k):
+                km2 = step(ksucc, k, km, x)
+                if not km2:
+                    continue
+                if arow is None:
+                    # rows, memoised by mask, are fetched only once K_j
+                    # moves: K_j's final state often has no successors
+                    # (the down interior's {b, ε}), and walking those
+                    # masks anyway made down interiors about 25% slower
+                    arow = rows_memo.get(am)
+                    if arow is None:
+                        arow = rows_memo[am] = rows(succ, k, am)
+                pair = (arow[x], km2)
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+                    if km2 & kfin:
+                        collected.add(pair[0])
+        out = frozenset(collected)
+        reach_memo[key] = out
+        return out
+
+    letters = range(1, len(ks))
+
+    def successors(state):
+        out = []
+        for j in letters:
+            masks = set()
+            for m in state:
+                masks |= reach(m, j)
+            out.append(minimal_masks(masks))
+        return out
+
+    start = minimal_masks(reach(init_mask, 0))
+    order, delta = explore(start, successors, budget, "interior antichain states")
+    finals = [i for i, st in enumerate(order) if all(m & final_mask for m in st)]
+    return len(order), delta, finals
+
+
+def minimal_masks(masks):
+    """The inclusion-minimal members of a collection of state-set masks.
+
+    One pass in order of size keeps a mask unless an already-kept mask
+    lies inside it: a mask inside it is no larger, so it came first, and
+    if it was dropped, a kept mask inside it lies inside this one too.
+    """
+    keep = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(o & m == o for o in keep):
+            keep.append(m)
+    return frozenset(keep)
 
 
 def cone_tables(num_suffixes, k, nxt, dom_masks):

@@ -1,6 +1,7 @@
 /* The compiled kernels of subwordkit._native: the cone BFS, subset
- * construction and Hopcroft minimisation of _kernels_py, with the same
- * numbering, budget rule and results.
+ * construction, the antichain search of the interiors and Hopcroft
+ * minimisation of _kernels_py, with the same numbering, budget rule and
+ * results.
  *
  * A set of ids is a bitset of uint64 words, bit s of word s / 64 for id
  * s.  A cone state, an antichain of suffix ids, has the fixed width
@@ -8,10 +9,17 @@
  * successor table, is a run trimmed of its zero high words: equal sets
  * have equal runs, and a run takes no more room than the Python int it
  * stands for, so a few subsets of a large NFA cost no n-squared table.
- * The BFS constructions number their states in BFS order, letters in
- * index order, and keep them in one word pool, found again through an
- * open-addressing table of state numbers; the state that would be number
- * budget + 1 returns NATIVE_BUDGET.
+ * An interior state, an antichain of subsets, is the ascending run of
+ * its members' ids in a second table that numbers the subsets.
+ *
+ * The three BFS constructions number their states with one loop,
+ * `explore`, the twin of _kernels_py.explore: BFS order, letters in index
+ * order, one word pool found again through an open-addressing table of
+ * state numbers, and the state that would be number budget + 1 returns
+ * NATIVE_BUDGET.  Each construction hands it a step that writes a
+ * state's k successors into the step's own buffers; `explore` numbers
+ * them once the step returns, since numbering may move the pool that
+ * the step reads its state from.
  *
  * Plain C ABI, no Python.h; built and loaded by _native.py.  Every array
  * that an output pointer receives is released with native_free.
@@ -21,6 +29,12 @@
 #include <string.h>
 
 enum { NATIVE_OK = 0, NATIVE_BUDGET = 1, NATIVE_NOMEM = 2, NATIVE_BADINPUT = 3 };
+
+/* what a step writes as the length of a successor with no words of its own */
+enum { EDGE_MISSING = -1, EDGE_SELF = -2 };
+
+/* the most states a table numbers: slots hold state number + 1 as int32 */
+#define MAX_STATES ((int64_t)INT32_MAX - 1)
 
 typedef struct {
     int64_t k;          /* letters: targets per state */
@@ -36,16 +50,17 @@ typedef struct {
 } state_set;
 
 /* An empty set of states of `width` words each, or of runs of any length
- * for width 0.  The cone's states have a fixed width, which spares it an
- * offset per state: 10 MB on the 1,325,951 states of twoLetter(4). */
-static int set_init(state_set *s, int64_t k, int64_t width)
+ * for width 0, with room for `cap` states (a power of two).  The cone's
+ * states have a fixed width, which spares it an offset per state: 10 MB
+ * on the 1,325,951 states of twoLetter(4). */
+static int set_init(state_set *s, int64_t k, int64_t width, int64_t cap)
 {
     s->k = k;
     s->width = width;
     s->count = 0;
-    s->cap = 1024;
-    s->wcap = 1024 * (width ? width : 1);
-    s->nslots = 2048;
+    s->cap = cap;
+    s->wcap = cap * (width ? width : 1);
+    s->nslots = 2 * cap;
     s->off = width ? NULL : malloc((s->cap + 1) * sizeof *s->off);
     s->words = malloc(s->wcap * sizeof *s->words);
     s->delta = malloc(s->cap * (k ? k : 1) * sizeof *s->delta);
@@ -125,6 +140,20 @@ static int grow_slots(state_set *s)
     return NATIVE_OK;
 }
 
+/* Forget every state of s, keeping its room.  The slots are emptied
+ * latest state first: no probe for an earlier state crosses the slot of
+ * a later one, which was empty when the earlier one was placed (or
+ * placed after it by grow_slots), so each is found where it lies. */
+static void set_clear(state_set *s)
+{
+    for (int64_t j = s->count - 1; j >= 0; j--) {
+        int64_t len;
+        const uint64_t *x = state(s, j, &len);
+        s->slots[find(s, x, len)] = 0;
+    }
+    s->count = 0;
+}
+
 /* Number x, len words, as state s->count, in slot `at`. */
 static int add(state_set *s, const uint64_t *x, int64_t len, uint64_t at)
 {
@@ -179,66 +208,116 @@ static int64_t number(state_set *s, const uint64_t *x, int64_t len, int64_t budg
     return s->count - 1;
 }
 
-/* The antichain cone of _kernels_py.cone_closure.  heads: k * w words,
- * the ids whose head is each letter; tails: n ids; ups: n * w words;
- * start: w words, w = ceil(n / 64).  A state steps on letter a as
- * (st | moved) & ~drop over its members in heads[a] only: a moving id s
- * adds its tail, tails[s], and drops ups[s], the ids that tail strictly
- * embeds into.  A state with no moving member is its own successor.  On
- * NATIVE_OK, *delta_out holds *count_out * k targets, and *final_out is
- * the number of the state {eps}, or -1. */
+/* A construction's step: the s->k successors of state i of s.  Successor
+ * a is the run runs[a] of lens[a] words, or has lens[a] EDGE_MISSING (no
+ * edge) or EDGE_SELF (state i itself).  The runs lie in the step's own
+ * buffers, and stay there until its next call. */
+typedef int (*step_fn)(void *ctx, const state_set *s, int64_t i, const uint64_t **runs,
+                       int64_t *lens);
+
+/* Number in s the states reachable from `start` (len words), in BFS
+ * order, letters in index order, and fill s->delta, -1 for a missing
+ * edge; NATIVE_BUDGET when state number budget + 1 would appear. */
+static int explore(state_set *s, const uint64_t *start, int64_t len, int64_t budget,
+                   step_fn step, void *ctx)
+{
+    int64_t k = s->k;
+    const uint64_t **runs = malloc((k + 1) * sizeof *runs);
+    int64_t *lens = malloc((k + 1) * sizeof *lens);
+    int rc = NATIVE_NOMEM;
+    if (!runs || !lens || number(s, start, len, 1, &rc) < 0)
+        goto out;
+    for (int64_t i = 0; i < s->count; i++) {
+        if ((rc = step(ctx, s, i, runs, lens)) != NATIVE_OK)
+            goto out;
+        for (int64_t a = 0; a < k; a++) {
+            int64_t t = lens[a] == EDGE_SELF ? i : -1;
+            if (lens[a] >= 0 && (t = number(s, runs[a], lens[a], budget, &rc)) < 0)
+                goto out;
+            s->delta[i * k + a] = (int32_t)t;
+        }
+    }
+    rc = NATIVE_OK;
+out:
+    free(runs);
+    free(lens);
+    return rc;
+}
+
+/* The cone step of _kernels_py.cone_closure.  A state steps on letter a
+ * as (st | moved) & ~drop over its members in heads[a] only: a moving id
+ * s adds its tail, tails[s], and drops ups[s], the ids that tail strictly
+ * embeds into.  A state with no moving member is its own successor. */
+typedef struct {
+    int64_t k, w;
+    const uint64_t *heads;  /* k * w words: the ids whose head is each letter */
+    const int32_t *tails;
+    const uint64_t *ups;    /* n * w words */
+    uint64_t *out;          /* k * w words: the successors */
+    uint64_t *drop;         /* w words */
+} cone_ctx;
+
+static int cone_step(void *p, const state_set *s, int64_t i, const uint64_t **runs,
+                     int64_t *lens)
+{
+    const cone_ctx *c = p;
+    int64_t w = c->w;
+    const uint64_t *cur = s->words + i * w;
+    for (int64_t a = 0; a < c->k; a++) {
+        const uint64_t *head = c->heads + a * w;
+        int64_t j;
+        for (j = 0; j < w && !(cur[j] & head[j]); j++)
+            ;
+        if (j == w) {
+            lens[a] = EDGE_SELF;
+            continue;
+        }
+        uint64_t *moved = c->out + a * w, *drop = c->drop;
+        memset(moved, 0, w * sizeof *moved);
+        memset(drop, 0, w * sizeof *drop);
+        for (; j < w; j++) {
+            for (uint64_t m = cur[j] & head[j]; m; m &= m - 1) {
+                int64_t id = j * 64 + __builtin_ctzll(m);
+                int32_t t = c->tails[id];
+                const uint64_t *up = c->ups + id * w;
+                moved[t / 64] |= (uint64_t)1 << (t % 64);
+                for (int64_t x = 0; x < w; x++)
+                    drop[x] |= up[x];
+            }
+        }
+        for (j = 0; j < w; j++)
+            moved[j] = (cur[j] | moved[j]) & ~drop[j];
+        runs[a] = moved;
+        lens[a] = w;
+    }
+    return NATIVE_OK;
+}
+
+/* The antichain cone of _kernels_py.cone_closure, on cone_step.  heads:
+ * k * w words; tails: n ids; ups: n * w words; start: w words, w =
+ * ceil(n / 64).  On NATIVE_OK, *delta_out holds *count_out * k targets,
+ * and *final_out is the number of the state {eps}, or -1. */
 int cone_closure(int32_t n, int32_t k, const uint64_t *heads, const int32_t *tails,
                  const uint64_t *ups, const uint64_t *start, int32_t eps, int64_t budget,
                  int32_t **delta_out, int64_t *count_out, int64_t *final_out)
 {
     int64_t w = (n + 63) / 64;
     state_set s;
-    int rc = set_init(&s, k, w);
-    uint64_t *buf = calloc(3 * w, sizeof *buf);
-    uint64_t *cur = buf, *moved = buf + w, *drop = buf + 2 * w;
+    int rc = set_init(&s, k, w, 1024);
+    uint64_t *buf = calloc((k + 1) * w + 1, sizeof *buf);
+    cone_ctx c = {k, w, heads, tails, ups, buf, buf + k * w};
     if (rc != NATIVE_OK || !buf) {
         rc = NATIVE_NOMEM;
         goto out;
     }
-    if (number(&s, start, w, 1, &rc) < 0)
+    if ((rc = explore(&s, start, w, budget, cone_step, &c)) != NATIVE_OK)
         goto out;
-    for (int64_t i = 0; i < s.count; i++) {
-        memcpy(cur, s.words + i * w, w * sizeof *cur);
-        for (int32_t a = 0; a < k; a++) {
-            const uint64_t *head = heads + (int64_t)a * w;
-            int64_t j;
-            for (j = 0; j < w && !(cur[j] & head[j]); j++)
-                ;
-            if (j == w) {
-                s.delta[i * k + a] = (int32_t)i;
-                continue;
-            }
-            memset(moved, 0, 2 * w * sizeof *moved);
-            for (; j < w; j++) {
-                for (uint64_t m = cur[j] & head[j]; m; m &= m - 1) {
-                    int64_t id = j * 64 + __builtin_ctzll(m);
-                    int32_t t = tails[id];
-                    const uint64_t *up = ups + id * w;
-                    moved[t / 64] |= (uint64_t)1 << (t % 64);
-                    for (int64_t x = 0; x < w; x++)
-                        drop[x] |= up[x];
-                }
-            }
-            for (j = 0; j < w; j++)
-                moved[j] = (cur[j] | moved[j]) & ~drop[j];
-            int64_t t = number(&s, moved, w, budget, &rc);
-            if (t < 0)
-                goto out;
-            s.delta[i * k + a] = (int32_t)t;
-        }
-    }
-    memset(cur, 0, w * sizeof *cur);
-    cur[eps / 64] = (uint64_t)1 << (eps % 64);
-    *final_out = (int64_t)s.slots[find(&s, cur, w)] - 1;
+    memset(buf, 0, w * sizeof *buf);
+    buf[eps / 64] = (uint64_t)1 << (eps % 64);
+    *final_out = (int64_t)s.slots[find(&s, buf, w)] - 1;
     *count_out = s.count;
     *delta_out = s.delta;
     s.delta = NULL;
-    rc = NATIVE_OK;
 out:
     free(buf);
     set_free(&s);
@@ -257,6 +336,30 @@ static int runs_below(const int64_t *off, int64_t count, const uint64_t *words, 
             return 0;
     }
     return 1;
+}
+
+/* OR into acc + a * w, for each letter a, the rows of the members of the
+ * run x (len words), and raise acc_len[a] to the longest row's length.
+ * Row q * k + a is rows[row_off[r] .. row_off[r + 1]); the longest row
+ * has a nonzero top word, so each OR is trimmed at acc_len[a]. */
+static void or_rows(const uint64_t *x, int64_t len, const uint64_t *rows,
+                    const int64_t *row_off, int64_t k, int64_t w, uint64_t *acc,
+                    int64_t *acc_len)
+{
+    for (int64_t j = 0; j < len; j++) {
+        for (uint64_t m = x[j]; m; m &= m - 1) {
+            int64_t base = (j * 64 + __builtin_ctzll(m)) * k;
+            for (int64_t a = 0; a < k; a++) {
+                const uint64_t *row = rows + row_off[base + a];
+                int64_t rl = row_off[base + a + 1] - row_off[base + a];
+                uint64_t *y = acc + a * w;
+                for (int64_t i = 0; i < rl; i++)
+                    y[i] |= row[i];
+                if (rl > acc_len[a])
+                    acc_len[a] = rl;
+            }
+        }
+    }
 }
 
 /* _kernels_py.maximal of the run x (len words) into out, which must be
@@ -286,13 +389,52 @@ static int64_t maximal(uint64_t *x, int64_t len, const uint64_t *rows, const int
     return top;
 }
 
-/* The powerset construction of _kernels_py.subset_construction.  Row
- * q * k + a, the a-successors of NFA state q, is the run
- * rows[row_off[r] .. row_off[r + 1]); init is a nonzero run.  A subset's
- * k targets are the ORs of its members' rows, each replaced by its
- * `maximal` part when `reduced` is set; the empty target is -1.  On
- * NATIVE_OK, *delta_out holds *count_out * k targets, and subset j is the
- * run (*words_out)[(*off_out)[j] .. (*off_out)[j + 1]). */
+/* The powerset step of _kernels_py.subset_construction: a subset's k
+ * targets are the ORs of its members' rows, each replaced by its
+ * `maximal` part when `reduced` is set; the empty target is missing. */
+typedef struct {
+    int64_t k, w;
+    const uint64_t *rows;
+    const int64_t *row_off;
+    int32_t reduced;
+    uint64_t *acc;      /* k ORs of w words */
+    uint64_t *red;      /* k reduced ones */
+    int64_t *acc_len;   /* the words of each OR, kept until the next step clears them */
+} subset_ctx;
+
+static int subset_step(void *p, const state_set *s, int64_t i, const uint64_t **runs,
+                       int64_t *lens)
+{
+    subset_ctx *c = p;
+    int64_t k = c->k, w = c->w;
+    for (int64_t a = 0; a < k; a++) {
+        memset(c->acc + a * w, 0, c->acc_len[a] * sizeof *c->acc);
+        if (c->reduced)
+            memset(c->red + a * w, 0, c->acc_len[a] * sizeof *c->red);
+        c->acc_len[a] = 0;
+    }
+    int64_t len;
+    const uint64_t *st = state(s, i, &len);
+    or_rows(st, len, c->rows, c->row_off, k, w, c->acc, c->acc_len);
+    for (int64_t a = 0; a < k; a++) {
+        uint64_t *x = c->acc + a * w;
+        int64_t xl = c->acc_len[a];
+        if (c->reduced && xl) {
+            xl = maximal(x, xl, c->rows, c->row_off, k, c->red + a * w);
+            x = c->red + a * w;
+        }
+        runs[a] = x;
+        lens[a] = xl ? xl : EDGE_MISSING;
+    }
+    return NATIVE_OK;
+}
+
+/* The powerset construction of _kernels_py.subset_construction, on
+ * subset_step.  Row q * k + a, the a-successors of NFA state q, is the
+ * run rows[row_off[r] .. row_off[r + 1]); init is a nonzero run.  On
+ * NATIVE_OK, *delta_out holds *count_out * k targets, -1 for the empty
+ * subset, and subset j is the run (*words_out)[(*off_out)[j] ..
+ * (*off_out)[j + 1]). */
 int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_t *row_off,
                         const uint64_t *init, int64_t init_len, int32_t reduced, int64_t budget,
                         int32_t **delta_out, uint64_t **words_out, int64_t **off_out,
@@ -301,9 +443,10 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
     int64_t w = (n + 63) / 64;
     int64_t init_off[2] = {0, init_len};
     state_set s;
-    int rc = set_init(&s, k, 0);
-    uint64_t *acc = calloc((k + 1) * w + 1, sizeof *acc);  /* k ORs and a reduced one */
-    int64_t *acc_len = calloc(k, sizeof *acc_len);
+    int rc = set_init(&s, k, 0, 1024);
+    uint64_t *acc = calloc(2 * k * w + 1, sizeof *acc);  /* k ORs and k reduced ones */
+    int64_t *acc_len = calloc(k + 1, sizeof *acc_len);
+    subset_ctx c = {k, w, rows, row_off, reduced, acc, acc + k * w, acc_len};
     if (rc != NATIVE_OK || !acc || !acc_len) {
         rc = NATIVE_NOMEM;
         goto out;
@@ -313,44 +456,8 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
         rc = NATIVE_BADINPUT;
         goto out;
     }
-    uint64_t *red = acc + k * w;
-    if (number(&s, init, init_len, 1, &rc) < 0)
+    if ((rc = explore(&s, init, init_len, budget, subset_step, &c)) != NATIVE_OK)
         goto out;
-    for (int64_t i = 0; i < s.count; i++) {
-        /* nothing is numbered while the members are walked, so the pool
-         * stays where it is */
-        const uint64_t *st = s.words + s.off[i];
-        int64_t len = s.off[i + 1] - s.off[i];
-        for (int64_t j = 0; j < len; j++) {
-            for (uint64_t m = st[j]; m; m &= m - 1) {
-                int64_t base = (j * 64 + __builtin_ctzll(m)) * k;
-                for (int64_t a = 0; a < k; a++) {
-                    const uint64_t *row = rows + row_off[base + a];
-                    int64_t rl = row_off[base + a + 1] - row_off[base + a];
-                    uint64_t *x = acc + a * w;
-                    for (int64_t y = 0; y < rl; y++)
-                        x[y] |= row[y];
-                    if (rl > acc_len[a])
-                        acc_len[a] = rl;
-                }
-            }
-        }
-        for (int64_t a = 0; a < k; a++) {
-            /* the longest row has a nonzero top word, so the OR is trimmed */
-            uint64_t *x = acc + a * w;
-            int64_t xl = acc_len[a];
-            acc_len[a] = 0;
-            if (reduced && xl) {
-                xl = maximal(x, xl, rows, row_off, k, red);
-                x = red;
-            }
-            int64_t t = -1;
-            if (xl && (t = number(&s, x, xl, budget, &rc)) < 0)
-                goto out;
-            memset(x, 0, xl * sizeof *x);
-            s.delta[i * k + a] = (int32_t)t;
-        }
-    }
     *count_out = s.count;
     *delta_out = s.delta;
     *words_out = s.words;
@@ -358,11 +465,396 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
     s.delta = NULL;
     s.words = NULL;
     s.off = NULL;
-    rc = NATIVE_OK;
 out:
     free(acc);
     free(acc_len);
     set_free(&s);
+    return rc;
+}
+
+/* p, with room for at least `need` items of `size` bytes, *cap of them:
+ * p itself or its reallocation; NULL on no memory, p left as it was. */
+static void *reserve(void *p, int64_t *cap, int64_t need, size_t size)
+{
+    if (need <= *cap)
+        return p;
+    int64_t c = *cap;
+    while (c < need)
+        c *= 2;
+    p = realloc(p, c * size);
+    if (p)
+        *cap = c;
+    return p;
+}
+
+static int cmp_u64(const void *x, const void *y)
+{
+    uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
+    return (a > b) - (a < b);
+}
+
+static int cmp_i32(const void *x, const void *y)
+{
+    int32_t a = *(const int32_t *)x, b = *(const int32_t *)y;
+    return (a > b) - (a < b);
+}
+
+/* The antichain step of _kernels_py.antichain_preimage.  The subsets of
+ * the NFA's states (masks, runs of w words) are numbered once, in
+ * `masks`, and an antichain state is the ascending run of its members'
+ * ids.  Per mask id the step keeps, once computed: its k rows, as ids in
+ * masks.delta; reach(id, j), the masks delta2(mask, z) for z accepted
+ * by K_j, as a run of ids in `pool`; its size and whether it meets the
+ * final states.  K_j has at most 64 states, so a set of them is a word. */
+typedef struct {
+    int64_t pop;                /* members */
+    uint64_t stamp;             /* the last target that listed the mask */
+    uint8_t rowed, meets;       /* its rows are in masks.delta; it meets fin */
+} mask_info;
+
+typedef struct {
+    int64_t k, m, w;            /* the NFA's letters, the target letters, words per mask */
+    const uint64_t *rows;
+    const int64_t *row_off;
+    const uint64_t *fin;
+    int64_t fin_len;
+    const uint64_t *ksucc;      /* K_j's row q * k + x is ksucc[kbase[j] + q * k + x] */
+    const int64_t *kbase;
+    const uint64_t *kinit, *kfin;
+    state_set masks;            /* masks.delta: each mask's rows, once `rowed` */
+    state_set pairs;            /* the (mask id, K_j state set) pairs of one reach */
+    int64_t mcap;               /* masks that info and reach_at have room for */
+    mask_info *info;
+    int64_t *reach_at;          /* (m + 1) per mask: reach(id, j) in pool, or -1 */
+    int32_t *pool;              /* each reach: its size, then its ids, ascending */
+    int64_t pool_len, pool_cap;
+    uint64_t *acc;              /* k ORs of w words, for a mask's rows */
+    int64_t *acc_len;
+    uint64_t *keys;             /* a target's candidates: size << 32 | id */
+    int64_t keys_cap;
+    uint64_t *out;              /* the m successors of one antichain state */
+    int64_t out_cap;
+    uint64_t gen;               /* targets computed so far */
+} anti_ctx;
+
+/* The id of the mask x (len words), numbered now if new, with its
+ * per-mask entries; -1, with *rc set, on no memory. */
+static int64_t mask_id(anti_ctx *c, const uint64_t *x, int64_t len, int *rc)
+{
+    int64_t before = c->masks.count;
+    int64_t id = number(&c->masks, x, len, MAX_STATES, rc);
+    if (id < before)
+        return id;
+    if (c->masks.cap > c->mcap) {
+        int64_t cap = c->masks.cap;
+        mask_info *info = realloc(c->info, cap * sizeof *info);
+        if (info)
+            c->info = info;
+        int64_t *reach_at = realloc(c->reach_at, cap * (c->m + 1) * sizeof *reach_at);
+        if (reach_at)
+            c->reach_at = reach_at;
+        if (!info || !reach_at) {
+            *rc = NATIVE_NOMEM;
+            return -1;
+        }
+        c->mcap = cap;
+    }
+    mask_info *e = c->info + id;
+    e->pop = 0;
+    e->stamp = 0;
+    e->rowed = e->meets = 0;
+    for (int64_t j = 0; j < len; j++) {
+        e->pop += __builtin_popcountll(x[j]);
+        if (j < c->fin_len && x[j] & c->fin[j])
+            e->meets = 1;
+    }
+    for (int64_t j = 0; j <= c->m; j++)
+        c->reach_at[id * (c->m + 1) + j] = -1;
+    return id;
+}
+
+/* Fill the k rows of mask `id` in masks.delta, unless they are there. */
+static int mask_rows(anti_ctx *c, int64_t id)
+{
+    if (c->info[id].rowed)
+        return NATIVE_OK;
+    int64_t k = c->k, len;
+    const uint64_t *x = state(&c->masks, id, &len);
+    or_rows(x, len, c->rows, c->row_off, k, c->w, c->acc, c->acc_len);
+    /* x is not read again: numbering the rows may move the pool */
+    int rc = NATIVE_OK;
+    for (int64_t a = 0; a < k; a++) {
+        uint64_t *y = c->acc + a * c->w;
+        int64_t t = mask_id(c, y, c->acc_len[a], &rc);
+        memset(y, 0, c->acc_len[a] * sizeof *y);
+        c->acc_len[a] = 0;
+        if (t < 0)
+            return rc;
+        c->masks.delta[id * k + a] = (int32_t)t;
+    }
+    c->info[id].rowed = 1;
+    return NATIVE_OK;
+}
+
+static int pool_push(anti_ctx *c, int32_t id)
+{
+    int32_t *pool = reserve(c->pool, &c->pool_cap, c->pool_len + 1, sizeof *pool);
+    if (!pool)
+        return NATIVE_NOMEM;
+    c->pool = pool;
+    c->pool[c->pool_len++] = id;
+    return NATIVE_OK;
+}
+
+/* Set *at to where reach(id, j) lies in the pool, computed now unless it
+ * was before: the product of the powerset automaton with K_j, explored
+ * from (id, K_j's initial set), collects the mask of each pair whose K_j
+ * side meets K_j's final states.  A mask's rows are filled only once K_j
+ * moves from it, as in the pure search. */
+static int reach(anti_ctx *c, int64_t id, int64_t j, int64_t *at)
+{
+    int64_t key = id * (c->m + 1) + j;
+    if (c->reach_at[key] >= 0) {
+        *at = c->reach_at[key];
+        return NATIVE_OK;
+    }
+    int64_t k = c->k, start = c->pool_len;
+    const uint64_t *ks = c->ksucc + c->kbase[j];
+    uint64_t kfin = c->kfin[j];
+    uint64_t pair[2] = {(uint64_t)id, c->kinit[j]};
+    int rc = pool_push(c, 0);
+    if (rc == NATIVE_OK && pair[1] & kfin)
+        rc = pool_push(c, (int32_t)id);
+    set_clear(&c->pairs);
+    if (rc != NATIVE_OK || number(&c->pairs, pair, 2, MAX_STATES, &rc) < 0)
+        return rc;
+    for (int64_t p = 0; p < c->pairs.count; p++) {
+        int64_t am = (int64_t)c->pairs.words[2 * p];
+        uint64_t km = c->pairs.words[2 * p + 1];
+        int rowed = 0;
+        for (int64_t x = 0; x < k; x++) {
+            uint64_t km2 = 0;
+            for (uint64_t b = km; b; b &= b - 1)
+                km2 |= ks[__builtin_ctzll(b) * k + x];
+            if (!km2)
+                continue;
+            if (!rowed && (rc = mask_rows(c, am)) != NATIVE_OK)
+                return rc;
+            rowed = 1;
+            pair[0] = (uint64_t)c->masks.delta[am * k + x];
+            pair[1] = km2;
+            int64_t before = c->pairs.count;
+            if (number(&c->pairs, pair, 2, MAX_STATES, &rc) < 0)
+                return rc;
+            if (c->pairs.count > before && km2 & kfin
+                && (rc = pool_push(c, (int32_t)pair[0])) != NATIVE_OK)
+                return rc;
+        }
+    }
+    int32_t *ids = c->pool + start + 1;
+    int64_t size = c->pool_len - start - 1, kept = 0;
+    qsort(ids, size, sizeof *ids, cmp_i32);
+    for (int64_t i = 0; i < size; i++)
+        if (!kept || ids[i] != ids[kept - 1])
+            ids[kept++] = ids[i];
+    c->pool[start] = (int32_t)kept;
+    c->pool_len = start + 1 + kept;
+    c->reach_at[key] = *at = start;
+    return NATIVE_OK;
+}
+
+/* Whether the run y (ylen words) lies inside the run x (xlen words). */
+static int inside(const uint64_t *y, int64_t ylen, const uint64_t *x, int64_t xlen)
+{
+    if (ylen > xlen)
+        return 0;
+    for (int64_t i = 0; i < ylen; i++)
+        if (y[i] & ~x[i])
+            return 0;
+    return 1;
+}
+
+/* The target of the `len` mask ids `ids` on letter j: the
+ * inclusion-minimal masks of the union of their reach(id, j), as
+ * ascending ids in keys[0 .. *size).  One pass in order of size keeps a
+ * mask unless a kept one lies inside it, as _kernels_py.minimal_masks
+ * does; kept masks of its own size are distinct from it, so only the
+ * smaller ones are tested. */
+static int target(anti_ctx *c, const uint64_t *ids, int64_t len, int64_t j, int64_t *size)
+{
+    uint64_t gen = ++c->gen;
+    int64_t n = 0;
+    for (int64_t i = 0; i < len; i++) {
+        int64_t at = 0;
+        int rc = reach(c, (int64_t)ids[i], j, &at);
+        if (rc != NATIVE_OK)
+            return rc;
+        int64_t cnt = c->pool[at];
+        uint64_t *keys = reserve(c->keys, &c->keys_cap, n + cnt, sizeof *keys);
+        if (!keys)
+            return NATIVE_NOMEM;
+        c->keys = keys;
+        for (int64_t e = 0; e < cnt; e++) {
+            int32_t t = c->pool[at + 1 + e];
+            if (c->info[t].stamp != gen) {
+                c->info[t].stamp = gen;
+                keys[n++] = (uint64_t)c->info[t].pop << 32 | (uint64_t)t;
+            }
+        }
+    }
+    uint64_t *keys = c->keys;
+    qsort(keys, n, sizeof *keys, cmp_u64);
+    int64_t kept = 0;
+    for (int64_t e = 0; e < n; e++) {
+        int64_t xlen;
+        const uint64_t *x = state(&c->masks, (int64_t)(keys[e] & 0xffffffffu), &xlen);
+        int64_t f;
+        for (f = 0; f < kept && keys[f] >> 32 < keys[e] >> 32; f++) {
+            int64_t ylen;
+            const uint64_t *y = state(&c->masks, (int64_t)(keys[f] & 0xffffffffu), &ylen);
+            if (inside(y, ylen, x, xlen))
+                break;
+        }
+        if (f == kept || keys[f] >> 32 == keys[e] >> 32)
+            keys[kept++] = keys[e];
+    }
+    for (int64_t e = 0; e < kept; e++)
+        keys[e] &= 0xffffffffu;
+    qsort(keys, kept, sizeof *keys, cmp_u64);
+    *size = kept;
+    return NATIVE_OK;
+}
+
+static int antichain_step(void *p, const state_set *s, int64_t i, const uint64_t **runs,
+                          int64_t *lens)
+{
+    anti_ctx *c = p;
+    int64_t len, used = 0;
+    /* the members are read from s's pool, which nothing moves until the
+     * step returns; reach numbers masks in c->masks only */
+    const uint64_t *st = state(s, i, &len);
+    for (int64_t j = 1; j <= c->m; j++) {
+        int64_t size;
+        int rc = target(c, st, len, j, &size);
+        if (rc != NATIVE_OK)
+            return rc;
+        uint64_t *out = reserve(c->out, &c->out_cap, used + size, sizeof *out);
+        if (!out)
+            return NATIVE_NOMEM;
+        c->out = out;
+        memcpy(out + used, c->keys, size * sizeof *out);
+        lens[j - 1] = size;
+        used += size;
+    }
+    used = 0;
+    for (int64_t a = 0; a < c->m; a++) {
+        runs[a] = c->out + used;
+        used += lens[a];
+    }
+    return NATIVE_OK;
+}
+
+/* The antichain search of _kernels_py.antichain_preimage, on
+ * antichain_step: the preimage DFA over m target letters of the NFA
+ * (n states, k letters, rows and row_off as in subset_construction, the
+ * runs init and fin) under the substitution of K_j for target letter j,
+ * K_0 for the empty word.  K_j has kn[j] <= 64 states, its rows in
+ * ksucc from kbase[j] = k * (kn[0] + ... + kn[j - 1]) on, the masks
+ * kinit[j] and kfin[j].  On NATIVE_OK, *delta_out holds *count_out * m
+ * targets and *finals_out the *nfinals_out states, ascending, whose
+ * every member meets fin. */
+int antichain_preimage(int32_t n, int32_t k, const uint64_t *rows, const int64_t *row_off,
+                       const uint64_t *init, int64_t init_len, const uint64_t *fin,
+                       int64_t fin_len, int32_t m, const int32_t *kn, const uint64_t *ksucc,
+                       const uint64_t *kinit, const uint64_t *kfin, int64_t budget,
+                       int32_t **delta_out, int32_t **finals_out, int64_t *count_out,
+                       int64_t *nfinals_out)
+{
+    int64_t w = (n + 63) / 64;
+    int64_t init_off[2] = {0, init_len}, fin_off[2] = {0, fin_len};
+    state_set s;
+    anti_ctx c = {.k = k, .m = m, .w = w, .rows = rows, .row_off = row_off, .fin = fin,
+                  .fin_len = fin_len, .ksucc = ksucc, .kinit = kinit, .kfin = kfin};
+    int32_t *finals = NULL;
+    int rc = set_init(&s, m, 0, 1024);
+    int ok = set_init(&c.masks, k, 0, 1024) == NATIVE_OK
+        && set_init(&c.pairs, 0, 2, 16) == NATIVE_OK;
+    c.pool_cap = c.keys_cap = c.out_cap = 64;
+    int64_t *kbase = malloc((m + 1) * sizeof *kbase);
+    c.kbase = kbase;
+    c.pool = malloc(c.pool_cap * sizeof *c.pool);
+    c.keys = malloc(c.keys_cap * sizeof *c.keys);
+    c.out = malloc(c.out_cap * sizeof *c.out);
+    c.acc = calloc(k * w + 1, sizeof *c.acc);
+    c.acc_len = calloc(k + 1, sizeof *c.acc_len);
+    if (rc != NATIVE_OK || !ok || !kbase || !c.pool || !c.keys || !c.out || !c.acc
+        || !c.acc_len) {
+        rc = NATIVE_NOMEM;
+        goto out;
+    }
+    rc = NATIVE_BADINPUT;
+    if (!runs_below(row_off, (int64_t)n * k, rows, n) || !runs_below(init_off, 1, init, n)
+        || !runs_below(fin_off, 1, fin, n))
+        goto out;
+    int64_t base = 0;
+    for (int64_t j = 0; j <= m; j++) {
+        if (kn[j] < 0 || kn[j] > 64)
+            goto out;
+        uint64_t over = kn[j] < 64 ? ~(uint64_t)0 << kn[j] : 0;
+        if ((kinit[j] | kfin[j]) & over)
+            goto out;
+        for (int64_t q = 0; q < (int64_t)kn[j] * k; q++)
+            if (ksucc[base + q] & over)
+                goto out;
+        kbase[j] = base;
+        base += (int64_t)kn[j] * k;
+    }
+    rc = NATIVE_OK;
+    uint64_t start_id;
+    int64_t size;
+    int64_t t = mask_id(&c, init, init_len, &rc);
+    if (t < 0)
+        goto out;
+    start_id = (uint64_t)t;
+    if ((rc = target(&c, &start_id, 1, 0, &size)) != NATIVE_OK)
+        goto out;
+    /* explore copies the start into s before the first step reuses keys */
+    if ((rc = explore(&s, c.keys, size, budget, antichain_step, &c)) != NATIVE_OK)
+        goto out;
+    finals = malloc((s.count + 1) * sizeof *finals);
+    if (!finals) {
+        rc = NATIVE_NOMEM;
+        goto out;
+    }
+    int64_t nf = 0;
+    for (int64_t i = 0; i < s.count; i++) {
+        int64_t len;
+        const uint64_t *st = state(&s, i, &len);
+        int64_t x;
+        for (x = 0; x < len && c.info[st[x]].meets; x++)
+            ;
+        if (x == len)
+            finals[nf++] = (int32_t)i;
+    }
+    *count_out = s.count;
+    *nfinals_out = nf;
+    *delta_out = s.delta;
+    *finals_out = finals;
+    s.delta = NULL;
+    finals = NULL;
+out:
+    free(finals);
+    set_free(&s);
+    set_free(&c.masks);
+    set_free(&c.pairs);
+    free(kbase);
+    free(c.info);
+    free(c.reach_at);
+    free(c.pool);
+    free(c.acc);
+    free(c.acc_len);
+    free(c.keys);
+    free(c.out);
     return rc;
 }
 

@@ -10,14 +10,18 @@ stale or half-written file.  A cache directory or build that another user
 owns, or that group or others may write, is refused.  Any failure raises
 ImportError, and `kernels` then runs the pure kernels.
 
-Three kernels are compiled: `cone_closure`, `subset_construction` and
-`dfa_minimize`.  Each takes the arguments and returns the results of its
-namesake in `_kernels_py`, the cone from the same per-id tables
-(`cone_tables`).  A subset of NFA states, and a row of the successor
-table, crosses as the run of its nonzero low words, no longer than the
-Python int it came from, so no table is sized n² by the crossing: the
-rows of a 20,000-state NFA with no transitions are 40,000 empty runs.
-The other kernels have no compiled form.
+Four kernels are compiled: `cone_closure`, `subset_construction`,
+`antichain_preimage` and `dfa_minimize`.  Each takes the arguments and
+returns the results of its namesake in `_kernels_py`, the cone from the
+same per-id tables (`cone_tables`).  The first three number their states
+with one C loop, `explore`, and differ only in the step they hand it.  A
+subset of NFA states, and a row of the successor table, crosses as the
+run of its nonzero low words, no longer than the Python int it came
+from, so no table is sized n² by the crossing: the rows of a
+20,000-state NFA with no transitions are 40,000 empty runs.  The
+antichain search takes K automata of at most 64 states, whose state sets
+are one word each; a larger one runs the pure search.  The other kernels
+have no compiled form.
 """
 
 import ctypes
@@ -28,6 +32,7 @@ import sys
 import tempfile
 from array import array
 
+from . import _kernels_py
 from ._kernels_py import cone_tables
 from .errors import BudgetExceededError
 
@@ -97,8 +102,11 @@ def load(cache, cc):
         lib.cone_closure.argtypes = [i32, i32, ptr, ptr, ptr, ptr, i32, i64, ptr, ptr, ptr]
         lib.subset_construction.argtypes = [i32, i32, ptr, ptr, ptr, i64, i32, i64,
                                             ptr, ptr, ptr, ptr]
+        lib.antichain_preimage.argtypes = [i32, i32, ptr, ptr, ptr, i64, ptr, i64, i32, ptr, ptr,
+                                           ptr, ptr, i64, ptr, ptr, ptr, ptr]
         lib.dfa_minimize.argtypes = [i32, i32, ptr, i32, ptr, i64, ptr, ptr, ptr, ptr]
-        for fn in (lib.cone_closure, lib.subset_construction, lib.dfa_minimize):
+        for fn in (lib.cone_closure, lib.subset_construction, lib.antichain_preimage,
+                   lib.dfa_minimize):
             fn.restype = ctypes.c_int
         lib.native_free.argtypes = [ptr]
         lib.native_free.restype = None
@@ -208,6 +216,36 @@ def subset_construction(n, k, succ, init_mask, budget, reduced=False):
     raw = memoryview(_native_words(words)).cast("B")
     subsets = [int.from_bytes(raw[8 * i:8 * j], "little") for i, j in zip(off, off[1:])]
     return delta, subsets
+
+
+def antichain_preimage(n, k, succ, init_mask, final_mask, ks, budget):
+    """_kernels_py.antichain_preimage, with the numbering and the step in
+    C; the pure one when a K automaton has more than 64 states, which do
+    not fit the compiled step's one-word sets."""
+    if any(kn > 64 for kn, _, _, _ in ks):
+        return _kernels_py.antichain_preimage(n, k, succ, init_mask, final_mask, ks, budget)
+    if len(succ) != n * k or any(len(table) != kn * k for kn, table, _, _ in ks):
+        raise ValueError("antichain_preimage: a successor table is not states * letters long")
+    rows, row_off = _runs(succ)
+    init, _ = _runs([init_mask])
+    fin, _ = _runs([final_mask])
+    kn = array("i", [kn for kn, _, _, _ in ks])
+    ksucc = array("Q")
+    for _, table, _, _ in ks:
+        ksucc.extend(table)
+    kinit = array("Q", [m for _, _, m, _ in ks])
+    kfin = array("Q", [m for _, _, _, m in ks])
+    m = len(ks) - 1
+    delta_p, finals_p = ctypes.c_void_p(), ctypes.c_void_p()
+    count, nfinals = ctypes.c_int64(), ctypes.c_int64()
+    rc = _lib.antichain_preimage(n, k, _addr(rows), _addr(row_off), _addr(init), len(init),
+                                 _addr(fin), len(fin), m, _addr(kn), _addr(ksucc),
+                                 _addr(kinit), _addr(kfin), max(0, min(budget, _MAX_STATES)),
+                                 ctypes.byref(delta_p), ctypes.byref(finals_p),
+                                 ctypes.byref(count), ctypes.byref(nfinals))
+    _check(rc, "interior antichain states", budget)
+    return (count.value, _take(delta_p, "i", count.value * m),
+            list(_take(finals_p, "i", nfinals.value)))
 
 
 def dfa_minimize(n, k, delta, initial, finals):

@@ -233,13 +233,25 @@ def _dominators(by_id, sid):
     """dom[i]: bitmask of the ids whose suffix embeds into suffix i's, i
     excluded.
 
-    Ids key distinct suffixes, and only a strictly shorter word embeds
-    into another.  Every proper suffix of suffix i has an id of its own,
-    and it embeds without a test, with all that embeds into it; only the
-    shorter suffixes not among those are tested.
+    A word embeds into x.s exactly when it embeds into s or is x.u for a
+    u that embeds into s, so with Emb(s), the ids that embed into s (s
+    among them),
+
+        Emb(x.s) = Emb(s) | {the id of x.u : u in Emb(s)}.
+
+    Ids key distinct suffixes and are closed under taking tails, so this
+    takes the suffixes by ascending length, each after its tail.  The new
+    members are found from their side: a shorter id y.v outside Emb(s)
+    joins when y = x and v is in Emb(s), one bit probe each, over the
+    shorter ids with head x only.  Walking Emb(s) instead would visit
+    every shorter suffix of a long word: on one random 1999-letter word
+    over two letters that took 626 ms against 48 ms this way (Python
+    3.11, 2 shared vCPUs).
     """
     order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
     dom = [0] * len(by_id)
+    tail = [0] * len(by_id)
+    heads = {}  # letter -> the ids so far whose head it is
     shorter = same = 0  # the ids shorter than s, and those of its length so far
     length = 0
     for i in order:
@@ -251,10 +263,12 @@ def _dominators(by_id, sid):
         same |= 1 << i
         if not s:
             continue
-        tail = sid[s[1:]]
-        d = 1 << tail | dom[tail]
-        for j in kernels.bits(shorter & ~d):
-            if kernels.is_subword(by_id[j], s):
-                d |= 1 << j
+        x = s[0]
+        t = tail[i] = sid[s[1:]]
+        emb = d = dom[t] | 1 << t
+        for v in kernels.bits(shorter & ~emb & heads.get(x, 0)):
+            if emb >> tail[v] & 1:
+                d |= 1 << v
         dom[i] = d
+        heads[x] = heads.get(x, 0) | 1 << i
     return dom

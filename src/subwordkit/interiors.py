@@ -12,11 +12,14 @@ The antichain construction generalises to preimages of substitutions.  A
 substitution maps a word x = b_1 ... b_m over a target alphabet to the
 language K_0 K_{b_1} ... K_{b_m}; the preimage automaton recognises
 {x | sigma(x) ⊆ L}.  Its states are inclusion-minimal antichains of
-powerset states, each a frozenset of the int bitmasks of its minimal
-powerset states.  That is what keeps the construction finite: the number
-of antichains over an n-element universe is the Dedekind-style count
-psi(n) that dedekind_count computes, so any interior DFA has fewer than
-psi(n) states.
+powerset states (De Wulf, Doyen, Henzinger, Raskin, CAV 2006).  That is
+what keeps the construction finite: the number of antichains over an
+n-element universe is the Dedekind-style count psi(n) that
+dedekind_count computes, so any interior DFA has fewer than psi(n)
+states.  The search runs in the kernel layer, `kernels.antichain_preimage`:
+pure in `_kernels_py`, where a state is a frozenset of the int bitmasks
+of its members, and compiled in `_native.c`, where a state is the
+ascending run of its members' ids in a table that numbers the masks.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .core import (
     DEFAULT_BUDGET,
 )
 from .closures import closure_dfa
-from .kernels import explore, rows, step
+from . import kernels
+from .kernels import minimal_masks as _minimal_masks  # noqa: F401  (its tests import it here)
 
 
 @dataclass(frozen=True)
@@ -116,10 +120,10 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
     every member subset is accepting, so the empty antichain (no
     constraint on the word read so far) accepts everything, and any
     antichain containing the empty subset (a substituted word left no run
-    alive) is the rejecting sink {∅}.  The per-letter reach sets
-    {delta2(S, z) | z ∈ K_j} are computed by exploring the product of the
-    powerset automaton with K_j, memoised per (S, j); the powerset side
-    steps by `rows`, memoised per S and shared by every j.
+    alive) is the rejecting sink {∅}.  The search is the kernel
+    `kernels.antichain_preimage` (compiled when the K automata have at
+    most 64 states each, as the built-in specs do); its states are
+    numbered under `budget`, and the result is minimised here.
     """
     check_budget(a, budget)
     a = as_nfa(a)
@@ -127,81 +131,10 @@ def substitution_preimage(a, spec, budget=DEFAULT_BUDGET):
         raise InputError(f"expected a SubstitutionSpec, got {type(spec).__name__}")
     if a.alphabet != spec.source:
         raise InputError("automaton is not over the substitution's source alphabet")
-    k = a.k
-    succ = a.succ_masks()
-    fmask = a.final_mask()
-
-    rows_memo = {}
-
-    ks_all = (spec.k0,) + spec.ks
-    k_tables = [(m.succ_masks(), m.init_mask(), m.final_mask()) for m in ks_all]
-
-    reach_memo = {}
-
-    def reach(mask, j):
-        """All powerset states delta2(mask, z) with z accepted by K_j."""
-        key = (mask, j)
-        out = reach_memo.get(key)
-        if out is not None:
-            return out
-        ksucc, kinit, kfin = k_tables[j]
-        collected = set()
-        if kinit & kfin:
-            collected.add(mask)
-        seen = {(mask, kinit)}
-        stack = [(mask, kinit)]
-        while stack:
-            am, km = stack.pop()
-            arow = None
-            for x in range(k):
-                km2 = step(ksucc, k, km, x)
-                if not km2:
-                    continue
-                if arow is None:
-                    # a's rows, memoised by mask, are fetched only once K_j
-                    # moves: K_j's final state often has no successors
-                    # (the down interior's {b, ε}), and walking those
-                    # masks anyway made down interiors about 25% slower
-                    arow = rows_memo.get(am)
-                    if arow is None:
-                        arow = rows_memo[am] = rows(succ, k, am)
-                pair = (arow[x], km2)
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-                    if km2 & kfin:
-                        collected.add(pair[0])
-        out = frozenset(collected)
-        reach_memo[key] = out
-        return out
-
-    def successors(state):
-        out = []
-        for j in range(1, spec.gamma.k + 1):
-            masks = set()
-            for m in state:
-                masks |= reach(m, j)
-            out.append(_minimal_masks(masks))
-        return out
-
-    start = _minimal_masks(reach(a.init_mask(), 0))
-    order, delta = explore(start, successors, budget, "interior antichain states")
-    final = [i for i, st in enumerate(order) if all(m & fmask for m in st)]
-    return minimize(Dfa._of_table(spec.gamma, len(order), delta, 0, final))
-
-
-def _minimal_masks(masks):
-    """The inclusion-minimal members of a collection of state-set masks.
-
-    One pass in order of size keeps a mask unless an already-kept mask
-    lies inside it: a mask inside it is no larger, so it came first, and
-    if it was dropped, a kept mask inside it lies inside this one too.
-    """
-    keep = []
-    for m in sorted(set(masks), key=int.bit_count):
-        if not any(o & m == o for o in keep):
-            keep.append(m)
-    return frozenset(keep)
+    ks = [(m.n, m.succ_masks(), m.init_mask(), m.final_mask()) for m in (spec.k0,) + spec.ks]
+    count, delta, finals = kernels.antichain_preimage(a.n, a.k, a.succ_masks(), a.init_mask(),
+                                                      a.final_mask(), ks, budget)
+    return minimize(Dfa._of_table(spec.gamma, count, delta, 0, finals))
 
 
 def up_interior(a, method="antichain", budget=DEFAULT_BUDGET):

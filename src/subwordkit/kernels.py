@@ -1,40 +1,43 @@
 """The kernel layer: every caller reaches the kernels through this module.
 
-The kernels live in `_kernels_py`, in pure Python.  Three of them, the
-cone closure, subset construction and Hopcroft minimisation, also have
-a compiled form in `_native` (`_native.c`, built on first use); the
-dispatchers here run it when it loads and the pure one otherwise.  The
-pure ones stay the fallback and the oracles they are tested against.
-Callers look the four whole algorithms up here at each call, as
-`kernels.<name>`, so that a tool can rebind one name in this namespace
-to wrap every call of it.  The powerset primitives run once per subset,
-too often to wrap: `rows`, which gives a subset's k successor sets from
-one walk over its members, is the one every powerset search steps with;
-`step`, one letter's successor set, is only for reading one letter at a
-time; `bits` and `maximal` list and shrink a subset.
+The kernels live in `_kernels_py`, in pure Python.  Four of them, the
+cone closure, subset construction, the interiors' antichain search and
+Hopcroft minimisation, also have a compiled form in `_native`
+(`_native.c`, built on first use); the dispatchers here run it when it
+loads and the pure one otherwise.  The pure ones stay the fallback and
+the oracles they are tested against.  Callers look the five whole
+algorithms up here at each call, as `kernels.<name>`, so that a tool can
+rebind one name in this namespace to wrap every call of it.  The
+powerset primitives run once per subset, too often to wrap: `rows`,
+which gives a subset's k successor sets from one walk over its members,
+is the one every powerset search steps with; `step`, one letter's
+successor set, is only for reading one letter at a time; `bits` and
+`maximal` list and shrink a subset, and `minimal_masks` shrinks a set of
+subsets to its inclusion-minimal members.
 
 `explore` is the one loop that numbers the states of a construction: BFS
 from the start state, letters in index order, at most `budget` states
-(state number budget + 1 raises BudgetExceededError).  The kernels and the
-constructions of `core` and `interiors` all number their states with it,
-and the compiled kernels number theirs under the same rule.
+(state number budget + 1 raises BudgetExceededError).  The pure kernels
+and the constructions of `core` all number their states with it, and the
+compiled kernels number theirs with its C twin, under the same rule.
 
-`ACTIVE` names the backend of the three, "compiled" or "pure" (exported
+`ACTIVE` names the backend of the four, "compiled" or "pure" (exported
 as subwordkit.KERNEL_BACKEND).  The compiled kernels are loaded once, on
 the first cone call, the first read of `ACTIVE`, or the first subset
-construction or minimisation that reaches LOAD_MIN_WORK; never at
-import.  Until then those two run pure, so a small command loads nothing.
+construction, antichain search or minimisation that reaches
+LOAD_MIN_WORK; never at import.  Until then those three run pure, so a
+small command loads nothing.
 """
 
 from . import _kernels_py
-from ._kernels_py import bits, explore, is_subword, maximal, rows, step
+from ._kernels_py import bits, explore, is_subword, maximal, minimal_masks, rows, step
 from .errors import BudgetExceededError
 
-# Until the compiled kernels are loaded, a subset construction or a
-# minimisation runs pure while its states times its letters stay below
-# this bound: a subset construction first runs pure with its budget cut
-# to LOAD_MIN_WORK // k subsets, and only when that stops loads the
-# compiled kernels and starts again there.  Loading them (ctypes, hashlib
+# Until the compiled kernels are loaded, a subset construction, an
+# antichain search or a minimisation runs pure while its states times its
+# letters stay below this bound: the two searches first run pure with
+# their budget cut to LOAD_MIN_WORK // letters states, and only when that
+# stops load the compiled kernels and start again there.  Loading them (ctypes, hashlib
 # and the library) takes 8-13 ms in process and 10-26 ms in a CLI child.
 # Pure Hopcroft spends 1.4-2.6 us per state and letter (2.6 ms on the
 # 500-state path DFA, k = 2; 34 ms on D(11)'s 2048 states, k = 12), so
@@ -66,19 +69,33 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
                                               start, budget)
 
 
-def subset_construction(n, k, succ, init_mask, budget, reduced=False):
-    """Powerset construction: see _kernels_py.subset_construction, whose
-    results every backend returns."""
+def _gated(letters, budget, run):
+    """run(backend, budget), on the compiled kernels once they are loaded.
+    Until then, run pure with the budget cut to LOAD_MIN_WORK // letters
+    states, and only when that stops load them and start again."""
     if _backend is None:
-        cap = LOAD_MIN_WORK // k
+        cap = LOAD_MIN_WORK // letters
         try:
-            return _kernels_py.subset_construction(n, k, succ, init_mask, min(budget, cap),
-                                                   reduced)
+            return run(_kernels_py, min(budget, cap))
         except BudgetExceededError:
             if budget <= cap:
                 raise
         _load()
-    return _backend.subset_construction(n, k, succ, init_mask, budget, reduced)
+    return run(_backend, budget)
+
+
+def subset_construction(n, k, succ, init_mask, budget, reduced=False):
+    """Powerset construction: see _kernels_py.subset_construction, whose
+    results every backend returns."""
+    return _gated(k, budget, lambda backend, budget: backend.subset_construction(
+        n, k, succ, init_mask, budget, reduced))
+
+
+def antichain_preimage(n, k, succ, init_mask, final_mask, ks, budget):
+    """The interiors' antichain search: see _kernels_py.antichain_preimage,
+    whose results every backend returns."""
+    return _gated(len(ks) - 1, budget, lambda backend, budget: backend.antichain_preimage(
+        n, k, succ, init_mask, final_mask, ks, budget))
 
 
 def dfa_minimize(n, k, delta, initial, finals):

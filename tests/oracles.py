@@ -9,7 +9,8 @@ test for every member instead of the moving-members-only step, a scan
 of every shorter suffix instead of only the undominated ones, powerset
 brute force instead of the memoized antichain recursion, an all-pairs
 test instead of the one-pass antichain reduction, Fraction elimination
-instead of the fraction-free integer one, and Decimal arithmetic
+instead of the fraction-free integer one, a membership run per pair
+instead of forward and backward state sets, and Decimal arithmetic
 instead of the integer Lucas/Fibonacci formula.  Slow is fine; these
 only run on small inputs.
 """
@@ -18,7 +19,7 @@ import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from subwordkit import BudgetExceededError, Dfa, Word
+from subwordkit import BudgetExceededError, Dfa, VerificationError, Word
 from subwordkit.kernels import is_subword
 
 
@@ -338,6 +339,28 @@ def minimal_masks_naive(masks):
     """The inclusion-minimal masks, by testing every pair."""
     ms = set(masks)
     return frozenset(m for m in ms if not any(o != m and o & m == o for o in ms))
+
+
+def verify_fooling_pairwise(a, pairs):
+    """bounds.verify_fooling with one membership run per concatenation
+    x_i y_j, checked in the same order, to the same errors."""
+    def cross(i, j):
+        return accepts_naive(a, pairs[i][0] + pairs[j][1])
+
+    for i in range(len(pairs)):
+        if not cross(i, i):
+            raise VerificationError(f"fooling pair ({i + 1},{i + 1}): x_i y_i is not in the language")
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if cross(i, j) and cross(j, i):
+                raise VerificationError(
+                    f"fooling pair ({i + 1},{j + 1}): both cross concatenations are in the language")
+    return len(pairs)
+
+
+def fooling_matrix_pairwise(a, pairs):
+    """The entries of bounds.fooling_matrix, one membership run each."""
+    return tuple(tuple(int(accepts_naive(a, x + y)) for _, y in pairs) for x, _ in pairs)
 
 
 def rank_fractions(rows):

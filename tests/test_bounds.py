@@ -10,7 +10,9 @@ from subwordkit import (
     ufa_lower_bound, up_closure, verify_fooling,
 )
 
-from oracles import known_rank_matrix, rank_fractions
+from oracles import (accepts_naive, fooling_matrix_pairwise, known_rank_matrix,
+                     language_upto, rank_fractions, verify_fooling_pairwise)
+from strategies import nfas
 
 
 def test_fooling_set_validation():
@@ -151,3 +153,69 @@ def test_ufa_initial_excluded_side_condition():
     down_d = down_closure(gen_family("D", 2))
     with pytest.raises(VerificationError):
         ufa_lower_bound(down_d, fooling_for("downD", 2), initial_excluded=True)
+
+
+@st.composite
+def pair_lists(draw):
+    """A random NFA and a list of distinct word pairs over its alphabet.
+    In about half the lists every pair splits a word of the language, so
+    that the diagonal holds and the cross checks decide; in the others
+    the pairs are random words, and the diagonal mostly fails."""
+    split = draw(st.booleans())
+    # most random NFAs accept no word of length 4 or less
+    automata = nfas(max_states=6)
+    a = draw(automata.filter(lambda a: language_upto(a, 4)) if split else automata)
+    inside = sorted(language_upto(a, 4))
+    word = st.lists(st.integers(0, a.k - 1), max_size=4).map(tuple)
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if split:
+            w = draw(st.sampled_from(inside))
+            cut = draw(st.integers(0, len(w)))
+            pair = (w[:cut], w[cut:])
+        else:
+            pair = (draw(word), draw(word))
+        if pair not in pairs:
+            pairs.append(pair)
+    return a, [(a.alphabet.word_of(x), a.alphabet.word_of(y)) for x, y in pairs]
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except VerificationError as e:
+        return str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_lists())
+def test_cross_memberships_by_masks_match_a_run_per_pair(case):
+    # The same matrix, and the same verdict or error naming the same pair;
+    # ufa_lower_bound's suffix check names the same first suffix.
+    a, pairs = case
+    matrix = fooling_matrix_pairwise(a, pairs)
+    assert fooling_matrix(a, pairs).entries == matrix
+    assert outcome(verify_fooling, a, pairs) == outcome(verify_fooling_pairwise, a, pairs)
+    inside = [i for i, (_, y) in enumerate(pairs) if accepts_naive(a, y)]
+    want = (f"initial_excluded unsound: suffix y_{inside[0] + 1} is in the language" if inside
+            else rank_fractions(matrix) + 1)
+    assert outcome(ufa_lower_bound, a, pairs, True) == want
+
+
+def test_fooling_errors_by_masks_on_broken_family_sets():
+    # The paper's sets pass; with each x_i moved to the next pair some
+    # diagonal fails, and with a pair of two equal halves added some
+    # cross check may fail: every verdict and message matches the runs.
+    seen = set()
+    for name in ("U", "V", "Uprime", "D"):
+        for k in (1, 2, 3):
+            a = gen_family(name, k)
+            pairs = list(fooling_for(name, k).pairs)
+            shifted = [(x, y) for (x, _), (_, y) in zip(pairs, pairs[1:] + pairs[:1])]
+            doubled = pairs + [(pairs[0][0], pairs[-1][1])]
+            for case in (pairs, shifted, list(dict.fromkeys(doubled))):
+                got = outcome(verify_fooling, a, case)
+                assert got == outcome(verify_fooling_pairwise, a, case)
+                seen.add(got if isinstance(got, int) else got.split(":")[1])
+    assert {" x_i y_i is not in the language",
+            " both cross concatenations are in the language"} <= seen

@@ -1,6 +1,6 @@
-"""The compiled kernels (the cone, subset construction and minimisation)
-against the pure ones and the oracles, and the loader's fallback to the
-pure kernels."""
+"""The compiled kernels (the cone, subset construction, the interiors'
+antichain search and minimisation) against the pure ones and the
+oracles, and the loader's fallback to the pure kernels."""
 
 import os
 import random
@@ -11,15 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordkit import BudgetExceededError, Dfa, auto_alphabet
-from subwordkit import _native, _kernels_py
+from subwordkit import BudgetExceededError, Dfa, Nfa, SubstitutionSpec, auto_alphabet
+from subwordkit import _kernels_py
 from subwordkit.closures import CONE_SUFFIX_CAP, _dominators, down_closure
+from subwordkit.interiors import down_interior_spec, identity_substitution, up_interior_spec
 from subwordkit.kernels import maximal
 
 from oracles import cone_closure_naive, minimal_dfa_size
 from strategies import copied_dfas, cone_inputs, dags, dfas, nfas, wide_nfas
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Every test here runs or loads the compiled kernels.  Where they cannot be
+# built (no C compiler), the pure kernels that the other test files cover
+# are all there is, and this module is skipped.
+_native = pytest.importorskip("subwordkit._native", exc_type=ImportError)
 
 
 def backends_agree(args, n, delta, finals):
@@ -119,6 +125,109 @@ def test_compiled_subset_construction_across_word_boundaries(a, reduced):
 def test_compiled_subset_construction_refuses_a_row_past_n():
     with pytest.raises(ValueError, match="out of range"):
         _native.subset_construction(2, 1, [0b100, 0], 1, 10)
+
+
+SPECS = (up_interior_spec, down_interior_spec, identity_substitution)
+
+
+def preimage_args(a, spec):
+    """The arguments of kernels.antichain_preimage, budget left out."""
+    ks = [(m.n, m.succ_masks(), m.init_mask(), m.final_mask()) for m in (spec.k0,) + spec.ks]
+    return a.n, a.k, a.succ_masks(), a.init_mask(), a.final_mask(), ks
+
+
+def antichain_backends_agree(args, budget=1 << 20):
+    """Both backends search alike: the same table, finals and error at
+    `budget`; and, when they finish, the same result at a budget of
+    exactly the state count and the same error one below."""
+    results = []
+    for mod in (_kernels_py, _native):
+        try:
+            count, delta, finals = mod.antichain_preimage(*args, budget)
+        except BudgetExceededError as e:
+            results.append((e.what, e.budget))
+        else:
+            assert delta.typecode == "i"
+            results.append((count, list(delta), finals))
+    assert results[0] == results[1]
+    if len(results[0]) == 2:  # both stopped
+        return
+    count = results[0][0]
+    for mod in (_kernels_py, _native):
+        count2, delta, finals = mod.antichain_preimage(*args, count)
+        assert (count2, list(delta), finals) == results[0]
+        if count > 1:
+            with pytest.raises(BudgetExceededError) as e:
+                mod.antichain_preimage(*args, count - 1)
+            assert (e.value.what, e.value.budget) == ("interior antichain states", count - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas(), st.sampled_from(SPECS))
+def test_compiled_antichain_search_matches_the_pure_one(a, spec):
+    antichain_backends_agree(preimage_args(a, spec(a.alphabet)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide_nfas(), st.sampled_from(SPECS))
+def test_compiled_antichain_search_across_word_boundaries(a, spec):
+    # masks of one to four words; a search that outgrows 3000 states must
+    # stop alike on both backends
+    antichain_backends_agree(preimage_args(a, spec(a.alphabet)), budget=3000)
+
+
+@st.composite
+def random_specs(draw):
+    """A random NFA and a substitution of 1 to 3 target letters whose K
+    automata are random NFAs of 1 to 3 states over its alphabet."""
+    a = draw(nfas(max_states=6))
+
+    def k_automaton():
+        n = draw(st.integers(1, 3))
+        state = st.integers(0, n - 1)
+        trans = draw(st.sets(st.tuples(state, st.integers(0, a.k - 1), state), max_size=3 * n))
+        return Nfa(a.alphabet, n, trans, draw(st.sets(state, min_size=1, max_size=n)),
+                   draw(st.sets(state, max_size=n)))
+
+    m = draw(st.integers(1, 3))
+    return a, SubstitutionSpec(auto_alphabet(m, "b"), k_automaton(),
+                               tuple(k_automaton() for _ in range(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_specs())
+def test_compiled_antichain_search_on_random_substitutions(case):
+    a, spec = case
+    antichain_backends_agree(preimage_args(a, spec), budget=3000)
+
+
+def path_automaton(alphabet, n):
+    """An n-state path on the first letter, accepting at its end only."""
+    return Nfa(alphabet, n, {(q, 0, q + 1) for q in range(n - 1)}, {0}, {n - 1})
+
+
+@pytest.mark.parametrize("states", [64, 65])
+def test_compiled_antichain_search_takes_k_automata_of_at_most_64_states(monkeypatch, states):
+    # A K automaton of 64 states fits the compiled step's one-word sets; one
+    # of 65 states runs the pure search, and the library is not called.
+    a = up_interior_spec(auto_alphabet(2)).ks[0]  # Σ* a1 Σ*, two states
+    long = path_automaton(a.alphabet, states)
+    args = preimage_args(a, SubstitutionSpec(a.alphabet, long, (long, a)))
+    want = _kernels_py.antichain_preimage(*args, 1 << 20)
+    if states > 64:
+        monkeypatch.setattr(_native, "_lib", None)
+    got = _native.antichain_preimage(*args, 1 << 20)
+    assert (got[0], list(got[1]), got[2]) == (want[0], list(want[1]), want[2])
+
+
+def test_compiled_antichain_search_refuses_a_row_past_n_and_a_short_table():
+    ks = [(1, [0], 1, 1), (1, [0], 1, 1)]
+    with pytest.raises(ValueError, match="out of range"):
+        _native.antichain_preimage(2, 1, [0b100, 0], 1, 1, ks, 10)
+    with pytest.raises(ValueError, match="out of range"):  # a K row past its states
+        _native.antichain_preimage(2, 1, [0b10, 0], 1, 1, [(1, [0b10], 1, 1), ks[1]], 10)
+    with pytest.raises(ValueError, match="not states \\* letters long"):
+        _native.antichain_preimage(2, 1, [0b10, 0], 1, 1, [(2, [0], 1, 1), ks[1]], 10)
 
 
 def minimize_backends_agree(d):
@@ -255,3 +364,25 @@ def test_a_construction_past_the_load_bound_loads_the_compiled_kernels():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == ["True"]
+
+
+def test_an_interior_past_the_load_bound_loads_the_compiled_kernels():
+    # downIntWitness(9)'s down interior numbers 519 antichain states over 8
+    # target letters: past LOAD_MIN_WORK // 8 = 512, the pure search stops
+    # and the compiled one starts again.  downIntWitness(7)'s 35 states
+    # stay pure, and a budget below the bound stops the pure search with
+    # its own error.
+    code = ("import sys\n"
+            "from subwordkit import BudgetExceededError, down_interior, gen_family, kernels\n"
+            "assert kernels.LOAD_MIN_WORK // 8 == 512\n"
+            "d = down_interior(gen_family('downIntWitness', 7))\n"
+            "print(d.n, 'subwordkit._native' in sys.modules, 'ctypes' in sys.modules)\n"
+            "try:\n"
+            "    down_interior(gen_family('downIntWitness', 9), budget=100)\n"
+            "except BudgetExceededError as e:\n"
+            "    print(e.what, e.budget, 'subwordkit._native' in sys.modules)\n"
+            "d = down_interior(gen_family('downIntWitness', 9))\n"
+            "print(d.n, 'subwordkit._native' in sys.modules, kernels.ACTIVE)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out == ["16 False False", "interior antichain states 100 False", "256 True compiled"]
