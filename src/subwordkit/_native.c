@@ -17,9 +17,14 @@
  * order, one word pool found again through an open-addressing table of
  * state numbers, and the state that would be number budget + 1 returns
  * NATIVE_BUDGET.  Each construction hands it a step that writes a
- * state's k successors into the step's own buffers; `explore` numbers
- * them once the step returns, since numbering may move the pool that
- * the step reads its state from.
+ * state's k successors into the step's own buffers.  `explore` steps a
+ * batch of states, copying their successors out and prefetching their
+ * slots, before it numbers any, since numbering may move the pool that
+ * the step reads its state from; it numbers them in the same order as
+ * one state at a time.  A slot of the table holds a state's number and
+ * its 32-bit hash, and the table grows at 3/4 load, so a lookup reads a
+ * state's words only when the hashes match: about one cache miss a
+ * lookup, which the batch overlaps with the others.
  *
  * Plain C ABI, no Python.h; built and loaded by _native.py.  Every array
  * that an output pointer receives is released with native_free.
@@ -36,6 +41,24 @@ enum { EDGE_MISSING = -1, EDGE_SELF = -2 };
 /* the most states a table numbers: slots hold state number + 1 as int32 */
 #define MAX_STATES ((int64_t)INT32_MAX - 1)
 
+/* A slot of the open-addressing table: the number + 1 of the state that
+ * lies there, 0 for an empty slot, and the state's 32-bit hash.  The low
+ * bits of the hash are the state's home slot (a table has at most 2^32
+ * slots, since it numbers fewer than 2^31 states at 3/4 load at most),
+ * so the slot alone says where its state goes in a larger table; the
+ * whole hash is compared before the state's words are read, so a probe
+ * past another state costs the one cache line of the slot.
+ *
+ * The price is memory: between 4/3 and 8/3 slots a state of 8 B, 10.7 to
+ * 21.3 B a state, where bare numbers at 1/2 load took 8 to 16.  The two
+ * take the same bytes when the count lies in (2^m, 1.5 * 2^m] for some m,
+ * as twoLetter(4)'s 1,325,951 states do, and the slots twice as many, 8
+ * to 10.7 B a state more, when it lies in (1.5 * 2^m, 2^(m + 1)]. */
+typedef struct {
+    int32_t num;
+    uint32_t hash;
+} slot;
+
 typedef struct {
     int64_t k;          /* letters: targets per state */
     int64_t width;      /* words per state, or 0: runs of any length, by `off` */
@@ -45,8 +68,8 @@ typedef struct {
     uint64_t *words;
     int64_t wcap;       /* words that `words` has room for */
     int32_t *delta;     /* count * k targets */
-    int32_t *slots;     /* state number + 1, or 0 for an empty slot */
-    uint64_t nslots;    /* a power of two, at least twice count */
+    slot *slots;        /* linear probing from each state's home slot */
+    uint64_t nslots;    /* a power of two; count stays at most 3/4 of it */
 } state_set;
 
 /* An empty set of states of `width` words each, or of runs of any length
@@ -91,71 +114,88 @@ static const uint64_t *state(const state_set *s, int64_t j, int64_t *len)
     return s->words + s->off[j];
 }
 
-static uint64_t hash_words(const uint64_t *x, int64_t len)
+static uint32_t hash_words(const uint64_t *x, int64_t len)
 {
     uint64_t h = 0x9e3779b97f4a7c15u;
     for (int64_t i = 0; i < len; i++) {
         h = (h ^ x[i]) * 0xff51afd7ed558ccdu;
         h ^= h >> 32;
     }
-    /* the final mix of MurmurHash3: the table reads the low bits, which
-     * the loop alone leaves clustered on small sets (3.4 probes a lookup
-     * on the subsets of D(13), 1.7 with it) */
+    /* the final mix of MurmurHash3: the table reads the low bits of the
+     * high half, which the loop alone leaves clustered on some sets (3.2
+     * slots read a lookup on the cone of E(12), 2.0 with it).  Matching
+     * hashes leave 0.92 states' words read a lookup on the subsets of
+     * D(13)'s down-closure, where a table of bare numbers at 1/2 load
+     * read 1.53. */
     h ^= h >> 33;
     h *= 0xc4ceb9fe1a85ec53u;
     h ^= h >> 33;
-    return h;
+    return (uint32_t)(h >> 32);
 }
 
-/* The slot that holds x, len words, or the empty slot where x would go. */
-static uint64_t find(const state_set *s, const uint64_t *x, int64_t len)
+/* The slot that holds x, len words of hash h, or the empty slot where x
+ * would go.  Only a slot whose hash matches has its state's words read. */
+static uint64_t find(const state_set *s, const uint64_t *x, int64_t len, uint32_t h)
 {
-    uint64_t i = hash_words(x, len) & (s->nslots - 1);
-    for (;;) {
-        int32_t j = s->slots[i];
-        if (!j)
+    uint64_t mask = s->nslots - 1;
+    for (uint64_t i = h & mask;; i = (i + 1) & mask) {
+        const slot *e = s->slots + i;
+        if (!e->num)
             return i;
+        if (e->hash != h)
+            continue;
         int64_t jlen;
-        const uint64_t *y = state(s, j - 1, &jlen);
+        const uint64_t *y = state(s, e->num - 1, &jlen);
         if (jlen == len && !memcmp(y, x, len * sizeof *x))
             return i;
-        i = (i + 1) & (s->nslots - 1);
     }
 }
 
+/* Double the slots and move every slot to the first empty one from its
+ * home in the new table, in the order of the old table: its hash gives
+ * the home, and states are distinct, so no state's words are read.  The
+ * old slots are freed only once every slot has moved, so a grow holds
+ * 1.5 times the bytes of the new slots while it runs. */
 static int grow_slots(state_set *s)
 {
-    uint64_t n = s->nslots * 2;
-    int32_t *slots = calloc(n, sizeof *slots);
+    uint64_t n = s->nslots * 2, mask = n - 1;
+    slot *slots = calloc(n, sizeof *slots), *old = s->slots;
     if (!slots)
         return NATIVE_NOMEM;
-    free(s->slots);
+    for (uint64_t o = 0; o < s->nslots; o++)
+        if (old[o].num) {
+            uint64_t i = old[o].hash & mask;
+            while (slots[i].num)
+                i = (i + 1) & mask;
+            slots[i] = old[o];
+        }
+    free(old);
     s->slots = slots;
     s->nslots = n;
-    for (int64_t j = 0; j < s->count; j++) {
-        int64_t len;
-        const uint64_t *x = state(s, j, &len);
-        s->slots[find(s, x, len)] = (int32_t)(j + 1);
-    }
     return NATIVE_OK;
 }
 
-/* Forget every state of s, keeping its room.  The slots are emptied
- * latest state first: no probe for an earlier state crosses the slot of
- * a later one, which was empty when the earlier one was placed (or
- * placed after it by grow_slots), so each is found where it lies. */
+/* Forget every state of s, keeping its room.  Each state's slot is
+ * sought from its home, past every slot, empty or not, up to the one
+ * with its number: the order in which grow_slots moved the states, or in
+ * which they are emptied, does not matter.  So a table that one long
+ * reach grew costs the later short reaches nothing. */
 static void set_clear(state_set *s)
 {
-    for (int64_t j = s->count - 1; j >= 0; j--) {
+    uint64_t mask = s->nslots - 1;
+    for (int64_t j = 0; j < s->count; j++) {
         int64_t len;
         const uint64_t *x = state(s, j, &len);
-        s->slots[find(s, x, len)] = 0;
+        uint64_t i = hash_words(x, len) & mask;
+        while (s->slots[i].num != j + 1)
+            i = (i + 1) & mask;
+        s->slots[i].num = 0;
     }
     s->count = 0;
 }
 
-/* Number x, len words, as state s->count, in slot `at`. */
-static int add(state_set *s, const uint64_t *x, int64_t len, uint64_t at)
+/* Number x, len words of hash h, as state s->count, in slot `at`. */
+static int add(state_set *s, const uint64_t *x, int64_t len, uint32_t h, uint64_t at)
 {
     if (s->count == s->cap) {
         int64_t cap = s->cap * 2;
@@ -185,25 +225,27 @@ static int add(state_set *s, const uint64_t *x, int64_t len, uint64_t at)
     memcpy(s->words + used, x, len * sizeof *x);
     if (!s->width)
         s->off[s->count + 1] = used + len;
-    s->slots[at] = (int32_t)(++s->count);
-    if ((uint64_t)s->count * 2 > s->nslots)
+    s->slots[at] = (slot){(int32_t)(++s->count), h};
+    if ((uint64_t)s->count * 4 > s->nslots * 3)
         return grow_slots(s);
     return NATIVE_OK;
 }
 
-/* The number of x, len words, numbered now if new; -1, with *rc set, when
- * it is new and budget states are numbered already, or on no memory. */
-static int64_t number(state_set *s, const uint64_t *x, int64_t len, int64_t budget, int *rc)
+/* The number of x, len words of hash h, numbered now if new; -1, with
+ * *rc set, when it is new and budget states are numbered already, or on
+ * no memory. */
+static int64_t number(state_set *s, const uint64_t *x, int64_t len, uint32_t h, int64_t budget,
+                      int *rc)
 {
-    uint64_t at = find(s, x, len);
-    int64_t t = (int64_t)s->slots[at] - 1;
+    uint64_t at = find(s, x, len, h);
+    int64_t t = (int64_t)s->slots[at].num - 1;
     if (t >= 0)
         return t;
     if (s->count >= budget) {
         *rc = NATIVE_BUDGET;
         return -1;
     }
-    if ((*rc = add(s, x, len, at)) != NATIVE_OK)
+    if ((*rc = add(s, x, len, h, at)) != NATIVE_OK)
         return -1;
     return s->count - 1;
 }
@@ -215,32 +257,130 @@ static int64_t number(state_set *s, const uint64_t *x, int64_t len, int64_t budg
 typedef int (*step_fn)(void *ctx, const state_set *s, int64_t i, const uint64_t **runs,
                        int64_t *lens);
 
+/* p, with room for at least `need` items of `size` bytes, *cap of them:
+ * p itself or its reallocation; NULL on no memory, p left as it was. */
+static void *reserve(void *p, int64_t *cap, int64_t need, size_t size)
+{
+    if (need <= *cap)
+        return p;
+    int64_t c = *cap;
+    while (c < need)
+        c *= 2;
+    p = realloc(p, c * size);
+    if (p)
+        *cap = c;
+    return p;
+}
+
+/* the states that `explore` steps at a time */
+enum { BATCH = 32 };
+
+/* A successor in a batch: the run words[at .. at + len) and its hash, or
+ * len EDGE_MISSING or EDGE_SELF. */
+typedef struct {
+    int64_t at, len;
+    uint32_t h;
+} batch_item;
+
+typedef struct {
+    const uint64_t **runs;  /* what one step writes */
+    int64_t *lens;
+    batch_item *items;      /* BATCH * k: the successors of the batch's states */
+    uint64_t *words;        /* their runs, copied out of the step's buffers */
+    int64_t used, cap;      /* words used and room */
+} batch;
+
+/* Step state i of s and add its k successors to the batch as items
+ * it[0 .. k): copied, hashed, and their home slots prefetched. */
+static int batch_step(batch *b, batch_item *it, state_set *s, int64_t i, step_fn step,
+                      void *ctx)
+{
+    int rc = step(ctx, s, i, b->runs, b->lens);
+    if (rc != NATIVE_OK)
+        return rc;
+    int64_t need = b->used;
+    for (int64_t a = 0; a < s->k; a++)
+        if (b->lens[a] > 0)
+            need += b->lens[a];
+    uint64_t *words = reserve(b->words, &b->cap, need, sizeof *words);
+    if (!words)
+        return NATIVE_NOMEM;
+    b->words = words;
+    for (int64_t a = 0; a < s->k; a++) {
+        int64_t len = b->lens[a];
+        const uint64_t *run = b->runs[a];
+        uint64_t *to = words + b->used;
+        it[a].len = len;
+        if (len < 0)
+            continue;
+        for (int64_t x = 0; x < len; x++)  /* runs are short: no call to memcpy */
+            to[x] = run[x];
+        it[a].at = b->used;
+        it[a].h = hash_words(to, len);
+        b->used += len;
+        __builtin_prefetch(s->slots + (it[a].h & (s->nslots - 1)));
+    }
+    return NATIVE_OK;
+}
+
 /* Number in s the states reachable from `start` (len words), in BFS
  * order, letters in index order, and fill s->delta, -1 for a missing
- * edge; NATIVE_BUDGET when state number budget + 1 would appear. */
+ * edge; NATIVE_BUDGET when state number budget + 1 would appear.
+ *
+ * It steps up to BATCH numbered states before it numbers any of their
+ * successors, and prefetches the home slot of each successor as it
+ * hashes it, so that the cache misses of a batch's lookups overlap
+ * instead of coming one after another.  (Prefetching the words of each
+ * home slot whose hash matches as well was no faster on twoLetter(4) and
+ * slowed the small kernels.)  The successors are then numbered in the
+ * order of one state at a time, to the same numbers.  A batch holds no
+ * more states than can be stepped before the budget is reached, so a
+ * budget stop comes after the same steps as one state at a time.  A step
+ * that fails ends the batch at its state: the successors of the states
+ * before it are numbered first, so that a budget stop among them comes
+ * first, as it would one state at a time. */
 static int explore(state_set *s, const uint64_t *start, int64_t len, int64_t budget,
                    step_fn step, void *ctx)
 {
     int64_t k = s->k;
-    const uint64_t **runs = malloc((k + 1) * sizeof *runs);
-    int64_t *lens = malloc((k + 1) * sizeof *lens);
+    batch b = {malloc((k + 1) * sizeof *b.runs), malloc((k + 1) * sizeof *b.lens),
+               malloc((BATCH * k + 1) * sizeof *b.items), malloc(64 * sizeof *b.words), 0, 64};
     int rc = NATIVE_NOMEM;
-    if (!runs || !lens || number(s, start, len, 1, &rc) < 0)
+    if (!b.runs || !b.lens || !b.items || !b.words
+        || number(s, start, len, hash_words(start, len), 1, &rc) < 0)
         goto out;
-    for (int64_t i = 0; i < s->count; i++) {
-        if ((rc = step(ctx, s, i, runs, lens)) != NATIVE_OK)
+    for (int64_t first = 0, past; first < s->count; first = past) {
+        /* each state stepped numbers at most k new ones: no more are
+         * stepped than can be before the budget stops the search */
+        int64_t most = k ? (budget - s->count) / k : BATCH;
+        int step_rc = NATIVE_OK;
+        most = most < 1 ? 1 : most > BATCH ? BATCH : most;
+        past = first + most < s->count ? first + most : s->count;
+        b.used = 0;
+        for (int64_t i = first; i < past; i++)
+            if ((step_rc = batch_step(&b, b.items + (i - first) * k, s, i, step, ctx))
+                != NATIVE_OK) {
+                past = i;
+                break;
+            }
+        for (int64_t i = first; i < past; i++)
+            for (int64_t a = 0; a < k; a++) {
+                const batch_item *it = b.items + (i - first) * k + a;
+                int64_t t = it->len == EDGE_SELF ? i : -1;
+                if (it->len >= 0
+                    && (t = number(s, b.words + it->at, it->len, it->h, budget, &rc)) < 0)
+                    goto out;
+                s->delta[i * k + a] = (int32_t)t;
+            }
+        if ((rc = step_rc) != NATIVE_OK)
             goto out;
-        for (int64_t a = 0; a < k; a++) {
-            int64_t t = lens[a] == EDGE_SELF ? i : -1;
-            if (lens[a] >= 0 && (t = number(s, runs[a], lens[a], budget, &rc)) < 0)
-                goto out;
-            s->delta[i * k + a] = (int32_t)t;
-        }
     }
     rc = NATIVE_OK;
 out:
-    free(runs);
-    free(lens);
+    free(b.runs);
+    free(b.lens);
+    free(b.items);
+    free(b.words);
     return rc;
 }
 
@@ -314,7 +454,7 @@ int cone_closure(int32_t n, int32_t k, const uint64_t *heads, const int32_t *tai
         goto out;
     memset(buf, 0, w * sizeof *buf);
     buf[eps / 64] = (uint64_t)1 << (eps % 64);
-    *final_out = (int64_t)s.slots[find(&s, buf, w)] - 1;
+    *final_out = (int64_t)s.slots[find(&s, buf, w, hash_words(buf, w))].num - 1;
     *count_out = s.count;
     *delta_out = s.delta;
     s.delta = NULL;
@@ -472,21 +612,6 @@ out:
     return rc;
 }
 
-/* p, with room for at least `need` items of `size` bytes, *cap of them:
- * p itself or its reallocation; NULL on no memory, p left as it was. */
-static void *reserve(void *p, int64_t *cap, int64_t need, size_t size)
-{
-    if (need <= *cap)
-        return p;
-    int64_t c = *cap;
-    while (c < need)
-        c *= 2;
-    p = realloc(p, c * size);
-    if (p)
-        *cap = c;
-    return p;
-}
-
 static int cmp_u64(const void *x, const void *y)
 {
     uint64_t a = *(const uint64_t *)x, b = *(const uint64_t *)y;
@@ -542,7 +667,7 @@ typedef struct {
 static int64_t mask_id(anti_ctx *c, const uint64_t *x, int64_t len, int *rc)
 {
     int64_t before = c->masks.count;
-    int64_t id = number(&c->masks, x, len, MAX_STATES, rc);
+    int64_t id = number(&c->masks, x, len, hash_words(x, len), MAX_STATES, rc);
     if (id < before)
         return id;
     if (c->masks.cap > c->mcap) {
@@ -626,7 +751,7 @@ static int reach(anti_ctx *c, int64_t id, int64_t j, int64_t *at)
     if (rc == NATIVE_OK && pair[1] & kfin)
         rc = pool_push(c, (int32_t)id);
     set_clear(&c->pairs);
-    if (rc != NATIVE_OK || number(&c->pairs, pair, 2, MAX_STATES, &rc) < 0)
+    if (rc != NATIVE_OK || number(&c->pairs, pair, 2, hash_words(pair, 2), MAX_STATES, &rc) < 0)
         return rc;
     for (int64_t p = 0; p < c->pairs.count; p++) {
         int64_t am = (int64_t)c->pairs.words[2 * p];
@@ -644,7 +769,7 @@ static int reach(anti_ctx *c, int64_t id, int64_t j, int64_t *at)
             pair[0] = (uint64_t)c->masks.delta[am * k + x];
             pair[1] = km2;
             int64_t before = c->pairs.count;
-            if (number(&c->pairs, pair, 2, MAX_STATES, &rc) < 0)
+            if (number(&c->pairs, pair, 2, hash_words(pair, 2), MAX_STATES, &rc) < 0)
                 return rc;
             if (c->pairs.count > before && km2 & kfin
                 && (rc = pool_push(c, (int32_t)pair[0])) != NATIVE_OK)

@@ -14,7 +14,13 @@ Four kernels are compiled: `cone_closure`, `subset_construction`,
 `antichain_preimage` and `dfa_minimize`.  Each takes the arguments and
 returns the results of its namesake in `_kernels_py`, the cone from the
 same per-id tables (`cone_tables`).  The first three number their states
-with one C loop, `explore`, and differ only in the step they hand it.  A
+with one C loop, `explore`, and differ only in the step they hand it.
+`explore` finds states again through one open-addressing table whose
+slots carry the state's 32-bit hash, so a lookup reads a state's words
+only when the hashes match; the table grows at 3/4 load.  It steps a batch
+of states, prefetching their successors' slots, before it numbers the
+successors in the order of one state at a time, so the numbering, the
+budget rule and the results do not depend on the batch.  A
 subset of NFA states, and a row of the successor table, crosses as the
 run of its nonzero low words, no longer than the Python int it came
 from, so no table is sized n² by the crossing: the rows of a
@@ -178,6 +184,11 @@ def _check(rc, what, budget=None):
 
 def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     """_kernels_py.cone_closure, with the BFS and the step in C."""
+    if len(nxt) != num_suffixes * k or len(dom_masks) != num_suffixes:
+        raise ValueError("cone_closure: a table is not as long as the suffixes need")
+    ids = [eps_id, *nxt, *start]
+    if min(ids) < 0 or max(ids) >= num_suffixes:
+        raise ValueError("cone_closure: a suffix id out of range")
     heads, tails, ups = cone_tables(num_suffixes, k, nxt, dom_masks)
     width = (num_suffixes + 63) // 64
     start_mask = 0
@@ -198,6 +209,8 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
 
 def subset_construction(n, k, succ, init_mask, budget, reduced=False):
     """_kernels_py.subset_construction, in C."""
+    if len(succ) != n * k:
+        raise ValueError("subset_construction: a successor table is not states * letters long")
     rows, row_off = _runs(succ)
     init, _ = _runs([init_mask])
     delta_p, words_p, off_p = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()

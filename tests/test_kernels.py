@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordkit import BudgetExceededError, Dfa, Nfa, SubstitutionSpec, auto_alphabet
-from subwordkit import _kernels_py
+from subwordkit import BudgetExceededError, Dfa, Nfa, SubstitutionSpec, Word, auto_alphabet
+from subwordkit import _kernels_py, closure_dfa, gen_family, kernels
 from subwordkit.closures import CONE_SUFFIX_CAP, _dominators, down_closure
+from subwordkit.core import as_nfa, dfa_from_words
 from subwordkit.interiors import down_interior_spec, identity_substitution, up_interior_spec
 from subwordkit.kernels import maximal
 
@@ -66,6 +67,54 @@ def test_compiled_cone_on_one_word_near_the_suffix_cap(k, length, seed):
     n, delta, finals = cone_closure_naive(*args, 1 << 20)
     assert n == len(word) + 1
     backends_agree(args, n, delta, finals)
+
+
+def cone_args(a):
+    """The arguments that closure_dfa(a, "up") hands the cone kernel,
+    budget left out."""
+    class Seen(Exception):
+        pass
+
+    def seen(*args):
+        raise Seen(args[:-1])
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "cone_closure", seen)
+        with pytest.raises(Seen) as e:
+            closure_dfa(a, "up")
+    return e.value.args[0]
+
+
+def seeded_words():
+    """Ten seeded words of length 16 over two letters: 16,074 cone states."""
+    rng = random.Random(3)
+    al = auto_alphabet(2)
+    return dfa_from_words(al, [Word(al, tuple(rng.randrange(2) for _ in range(16)))
+                               for _ in range(10)])
+
+
+@pytest.mark.parametrize("make", [lambda: gen_family("E", 11), lambda: gen_family("E", 12),
+                                  lambda: gen_family("heam", 9), lambda: gen_family("heam", 10),
+                                  seeded_words],
+                         ids=["E(11)", "E(12)", "heam(9)", "heam(10)", "seeded words"])
+def test_compiled_cone_across_table_growths_and_batches(make):
+    # 2049 to 16,074 states: the slot table, 2048 slots at first, grows
+    # once to four times, and the counts are no multiples of the batch
+    args = cone_args(make())
+    n, delta, finals = _kernels_py.cone_closure(*args, 1 << 22)
+    assert n > 2048
+    backends_agree(args, n, list(delta), finals)
+
+
+def test_compiled_cone_refuses_ids_out_of_range_and_short_tables():
+    args = cone_args(dfa_from_words(auto_alphabet(1), [Word(auto_alphabet(1), (0,))]))
+    num, k, nxt, eps, dom, start = args
+    assert _native.cone_closure(*args, 10)[0] == 2
+    for bad in ((num, k, nxt, 10**7, dom, start), (num, k, [-1, *nxt[1:]], eps, dom, start),
+                (num, k, nxt, eps, dom, [num]), (num, k, nxt[1:], eps, dom, start),
+                (num, k, nxt, eps, dom[1:], start)):
+        with pytest.raises(ValueError, match="cone_closure"):
+            _native.cone_closure(*bad, 10)
 
 
 def subset_backends_agree(a, reduced, budget=1 << 20):
@@ -122,9 +171,20 @@ def test_compiled_subset_construction_across_word_boundaries(a, reduced):
     subset_backends_agree(a, reduced, budget=3000)
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_compiled_subset_construction_across_table_growths(reduced):
+    # the 4096 subsets of D(12)'s down-closure outgrow the first 2048 slots
+    subset_backends_agree(down_closure(gen_family("D", 12)), reduced)
+
+
 def test_compiled_subset_construction_refuses_a_row_past_n():
     with pytest.raises(ValueError, match="out of range"):
         _native.subset_construction(2, 1, [0b100, 0], 1, 10)
+
+
+def test_compiled_subset_construction_refuses_a_short_table():
+    with pytest.raises(ValueError, match="not states \\* letters long"):
+        _native.subset_construction(4, 2, [0b1], 1, 10)
 
 
 SPECS = (up_interior_spec, down_interior_spec, identity_substitution)
@@ -220,6 +280,20 @@ def test_compiled_antichain_search_takes_k_automata_of_at_most_64_states(monkeyp
     assert (got[0], list(got[1]), got[2]) == (want[0], list(want[1]), want[2])
 
 
+def test_compiled_antichain_search_clears_a_grown_pairs_table():
+    # sigma(b_x) = x^40: a reach on a target letter walks 41 (mask, K
+    # state set) pairs, past the 24 that the pairs table's first 32 slots
+    # take, and a reach on K_0 = {ε} one pair, so the grown table is
+    # cleared both after long reaches and after short ones
+    a = as_nfa(gen_family("U", 4))
+    power = [Nfa(a.alphabet, 41, {(q, x, q + 1) for q in range(40)}, {0}, {40})
+             for x in range(a.k)]
+    ident = identity_substitution(a.alphabet)
+    args = preimage_args(a, SubstitutionSpec(ident.gamma, ident.k0, tuple(power)))
+    assert _kernels_py.antichain_preimage(*args, 1 << 20)[0] == 16
+    antichain_backends_agree(args)
+
+
 def test_compiled_antichain_search_refuses_a_row_past_n_and_a_short_table():
     ks = [(1, [0], 1, 1), (1, [0], 1, 1)]
     with pytest.raises(ValueError, match="out of range"):
@@ -255,6 +329,16 @@ def test_compiled_minimize_of_the_empty_language_and_a_bad_target():
     assert _native.dfa_minimize(d.n, d.k, d.delta_flat(), 0, []) == (1, [-1, -1], [])
     with pytest.raises(ValueError, match="out of range"):
         _native.dfa_minimize(2, 1, [1, 2], 0, [1])
+
+
+def test_the_source_compiles_without_warnings(tmp_path):
+    # stricter than FLAGS, and into tmp_path, so the cached build is not
+    # touched; the module is skipped where no compiler is on the PATH
+    out = tmp_path / "native.so"
+    done = subprocess.run([_native.compiler(), "-O2", "-Wall", "-Wextra", "-Werror", "-shared",
+                           "-fPIC", "-o", str(out), _native.SOURCE], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert out.stat().st_size
 
 
 def test_loader_needs_a_compiler(tmp_path):
