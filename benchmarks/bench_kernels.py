@@ -139,7 +139,7 @@ def workload_product_search(rng):
     def run(mod):
         out = []
         for a, b in searches:
-            w = decisions._shortest_in_difference(a, b, DEFAULT_BUDGET, None, None)
+            w = decisions._shortest_in_difference(a, b, DEFAULT_BUDGET, False, False)
             out.append(None if w is None else w.letters)
         return out
 

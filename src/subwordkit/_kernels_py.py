@@ -32,8 +32,9 @@ Eleven entry points, reached through `subwordkit.kernels`:
 
 `cone_closure`, `subset_construction`, `antichain_preimage` and
 `dfa_minimize` also have a compiled form, `_native`, which `kernels`
-runs when it loads; the cone there builds its tables with `cone_tables`
-here.  These four are its fallback and the oracles it is tested against.
+runs when it loads; the cone there checks its arguments and builds its
+tables with `cone_tables` here.  These four are its fallback and the
+oracles it is tested against.
 """
 
 from __future__ import annotations
@@ -166,10 +167,8 @@ def subset_construction(n, k, succ, init_mask, budget, reduced=False):
     mean fewer rows to OR, and there are no more subsets than without it.
     """
     if reduced:
-        reduce = partial(maximal, succ, k)
-
         def successors(s):
-            return map(reduce, rows(succ, k, s))
+            return [maximal(succ, k, m) for m in rows(succ, k, s)]
     else:
         successors = partial(rows, succ, k)
 
@@ -378,15 +377,23 @@ def minimal_masks(masks):
     return frozenset(keep)
 
 
-def cone_tables(num_suffixes, k, nxt, dom_masks):
+def cone_tables(num_suffixes, k, nxt, eps_id, dom_masks, start):
     """The per-id tables of the cone step, built once per call of either
-    backend's `cone_closure` (arguments as there).
+    backend's `cone_closure` (arguments as there), after the checks that
+    both share: ValueError when `nxt` is not num_suffixes*k long,
+    `dom_masks` not num_suffixes long, or `eps_id`, an entry of `nxt` or
+    a start id lies outside [0, num_suffixes).
 
     Returns (heads, tails, ups): heads[a], the mask of the ids whose head
     is letter a; tails[s], the id of s's tail (s itself for the empty
     suffix, which never moves); ups[s], the mask of the ids that s's tail
     strictly embeds into, s among them.
     """
+    if len(nxt) != num_suffixes * k or len(dom_masks) != num_suffixes:
+        raise ValueError("cone_closure: a table is not as long as the suffixes need")
+    ids = [eps_id, *nxt, *start]
+    if min(ids) < 0 or max(ids) >= num_suffixes:
+        raise ValueError("cone_closure: a suffix id out of range")
     # embeds_into[t]: the ids that t strictly embeds into, the transpose of
     # dom_masks.  It is read off their binary strings laid end to end, where
     # bit t of the masks is every n-th character: an OR per set bit would
@@ -433,7 +440,7 @@ def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     gives a.y embedded into a.x, both in st.  The states, their order
     and their number do not depend on how the suffix ids are numbered.
     """
-    heads, tails, ups = cone_tables(num_suffixes, k, nxt, dom_masks)
+    heads, tails, ups = cone_tables(num_suffixes, k, nxt, eps_id, dom_masks, start)
     target = [1 << t for t in tails]
 
     def successors(st):

@@ -184,12 +184,7 @@ def _check(rc, what, budget=None):
 
 def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     """_kernels_py.cone_closure, with the BFS and the step in C."""
-    if len(nxt) != num_suffixes * k or len(dom_masks) != num_suffixes:
-        raise ValueError("cone_closure: a table is not as long as the suffixes need")
-    ids = [eps_id, *nxt, *start]
-    if min(ids) < 0 or max(ids) >= num_suffixes:
-        raise ValueError("cone_closure: a suffix id out of range")
-    heads, tails, ups = cone_tables(num_suffixes, k, nxt, dom_masks)
+    heads, tails, ups = cone_tables(num_suffixes, k, nxt, eps_id, dom_masks, start)
     width = (num_suffixes + 63) // 64
     start_mask = 0
     for s in start:

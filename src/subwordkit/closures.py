@@ -10,11 +10,11 @@ larger than the minimal DFA it eventually shrinks to).
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
 
-from .core import (DEFAULT_BUDGET, Dfa, Nfa, Word, _determinize, as_nfa, check_budget,
-                   determinize, empty_language_dfa, minimize, strong_components, trim)
+from .core import (DEFAULT_BUDGET, Dfa, Nfa, Word, _determinize, _usefulness, as_nfa,
+                   check_budget, determinize, empty_language_dfa, minimize,
+                   strong_components)
 from .errors import InputError
 from .subwords import minimal_words
 from . import kernels
@@ -51,30 +51,34 @@ def down_closure(a):
     reachability set per state.
     """
     a = as_nfa(a)
+    return _down_closure(a, strong_components(a))
+
+
+def _down_closure(a, components):
+    """down_closure of the NFA `a`, given its strong_components(a)."""
     k = a.k
     succ = a.succ_masks()
-    comps, comp_of, below = strong_components(a)
+    comps, comp_of, below = components
     rows = []
-    co = []  # co[c]: component c reaches a final state
     for c, members in enumerate(comps):
         p = members[0]
         row = succ[p * k:p * k + k]
         for p in members[1:]:
             row = [m | m2 for m, m2 in zip(row, succ[p * k:p * k + k])]
-        reaches = not a.final.isdisjoint(members)
         for d in below[c]:
             row = [m | m2 for m, m2 in zip(row, rows[d])]
-            reaches = reaches or co[d]
         rows.append(row)
-        co.append(reaches)
+    co = _usefulness(a, components)[1]
     table = tuple(chain.from_iterable(map(rows.__getitem__, comp_of)))
     final = [q for q, c in enumerate(comp_of) if co[c]]
     return Nfa._of_masks(a.alphabet, a.n, table, a.initial, final)
 
 
-def _reduced_down_closure(a):
-    """The down-closure NFA of `a` and its reducer, or None for inputs of
-    at most REDUCE_MIN_STATES states, which get `down_closure` itself.
+def _reduced_down_closure(a, components=None):
+    """The down-closure NFA of `a` and whether its subsets may be reduced
+    to their `kernels.maximal` part: False for inputs of at most
+    REDUCE_MIN_STATES states, True above.  `components` is
+    strong_components(a) when the caller already has it.
 
     A state q of a down-closure NFA simulates every state r it reaches:
     q's row contains r's row letter by letter, and q is final when r is.
@@ -101,8 +105,9 @@ def _reduced_down_closure(a):
     topological order, each one's members contiguous: then the lowest
     member's reach (its own bit and the OR of its k rows, no table
     beyond the rows) covers the rest of its component and no other
-    member reaches it.  On a 2000-state path numbered against its edges,
-    `closure_dfa` down took 2.5 s with the reducer on the input's own
+    member reaches it.  The components are carried through the
+    renumbering, not found again.  On a 2000-state path numbered against
+    its edges, `closure_dfa` down took 2.5 s reduced on the input's own
     numbering, 0.68 s unreduced and 0.05 s renumbered.  Inputs already in
     order skip the renumbering, which took a transition-free
     1,000,000-state file 2 s on top of the closure's own 3 s.
@@ -113,14 +118,19 @@ def _reduced_down_closure(a):
     operation, best of 7 (Python 3.11, 2 shared vCPUs).
     """
     a = as_nfa(a)
+    if components is None:
+        components = strong_components(a)
     n, k = a.n, a.k
     if n <= REDUCE_MIN_STATES:
-        return down_closure(a), None
+        return _down_closure(a, components), False
     succ = a.succ_masks()
     if any(m and m >> (i // k) << (i // k) != m for i, m in enumerate(succ)):
-        # components come sinks first; state q is numbered pos[q]
+        # components come sinks first; state q is numbered pos[q], and
+        # order[j] is the state numbered j
+        comps, comp_of, below = components
+        order = list(chain.from_iterable(reversed(comps)))
         pos = [0] * n
-        for j, q in enumerate(chain.from_iterable(reversed(strong_components(a)[0]))):
+        for j, q in enumerate(order):
             pos[q] = j
         renumbered = [0] * (n * k)
         for i, m in enumerate(succ):
@@ -130,8 +140,9 @@ def _reduced_down_closure(a):
             renumbered[pos[i // k] * k + i % k] = t
         a = Nfa._of_masks(a.alphabet, n, renumbered, map(pos.__getitem__, a.initial),
                           map(pos.__getitem__, a.final))
-    closure = down_closure(a)
-    return closure, partial(kernels.maximal, closure.succ_masks(), k)
+        components = ([[pos[q] for q in members] for members in comps],
+                      list(map(comp_of.__getitem__, order)), below)
+    return _down_closure(a, components), True
 
 
 def _check_direction(direction):
@@ -158,33 +169,45 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
         if words is not None:
             return _cone_dfa(a.alphabet, words, budget)
         return minimize(determinize(up_closure(a), budget))
-    closure, reduce = _reduced_down_closure(a)
-    return minimize(_determinize(closure, budget, reduce is not None)[0])
+    closure, reduced = _reduced_down_closure(a)
+    return minimize(_determinize(closure, budget, reduced)[0])
 
 
 def _finite_language(a):
-    """The full word list when `a` is acyclic and small, else None."""
-    t = trim(a)
-    if t.n == 0:
+    """The full word list when the NFA `a` has a finite language and the
+    cone caps allow, else None.
+
+    The language is finite iff every useful component (see
+    core._usefulness) is one state without a self-loop.  The words are
+    enumerated by a depth-first search over the useful states only, from
+    the useful initial states in ascending order, so it visits the same
+    paths in the same order as on trim(a).
+    """
+    k = a.k
+    succ = a.succ_masks()
+    components = strong_components(a)
+    fwd, co = _usefulness(a, components)
+    useful = set()
+    for c, members in enumerate(components[0]):
+        if fwd[c] and co[c]:
+            q = members[0]
+            if len(members) > 1 or any(m >> q & 1 for m in succ[q * k:q * k + k]):
+                return None
+            useful.add(q)
+    if not useful:
         return []
-    # acyclic: no state with a self-loop, and every component one state
-    k = t.k
-    succ = t.succ_masks()
-    if (any(m >> (i // k) & 1 for i, m in enumerate(succ))
-            or len(strong_components(t)[0]) < t.n):
-        return None
-    # each state's (letter, target) edges, read off the table once
-    out = [[(x, r) for x in range(k) for r in kernels.bits(succ[q * k + x])]
-           for q in range(t.n)]
+    # each useful state's (letter, useful target) edges, read off the table once
+    out = {q: [(x, r) for x in range(k) for r in kernels.bits(succ[q * k + x]) if r in useful]
+           for q in useful}
     words = set()
     steps = 0
-    stack = [(q, ()) for q in sorted(t.initial)]
+    stack = [(q, ()) for q in sorted(a.initial & useful)]
     while stack:
         q, path = stack.pop()
         steps += 1
         if steps > _CONE_STEP_CAP:
             return None
-        if q in t.final:
+        if q in a.final:
             words.add(path)
             if len(words) > CONE_WORD_CAP:
                 return None
@@ -192,7 +215,7 @@ def _finite_language(a):
             stack.append((r, path + (x,)))
     if sum(len(w) + 1 for w in words) > CONE_SUFFIX_CAP:
         return None
-    return [Word(t.alphabet, w) for w in sorted(words)]
+    return [Word(a.alphabet, w) for w in sorted(words)]
 
 
 def _cone_dfa(alphabet, words, budget):

@@ -516,6 +516,27 @@ def strong_components(a):
     return comps, comp_of, below
 
 
+def _usefulness(a, components):
+    """(fwd, co) for the components of `components`, which is
+    strong_components(a): fwd[i] says that component i is reachable from
+    an initial state, co[i] that it reaches a final state.  A state is
+    useful when its component has both."""
+    comps, comp_of, below = components
+    co = [False] * len(comps)
+    for q in a.final:
+        co[comp_of[q]] = True
+    for i, entered in enumerate(below):  # `below` comes first
+        co[i] = co[i] or any(co[j] for j in entered)
+    fwd = [False] * len(comps)
+    for q in a.initial:
+        fwd[comp_of[q]] = True
+    for i in reversed(range(len(comps))):  # the reversed order is topological
+        if fwd[i]:
+            for j in below[i]:
+                fwd[j] = True
+    return fwd, co
+
+
 def minimize(d):
     """Canonical minimal partial DFA recognising the same language."""
     if not isinstance(d, Dfa):
@@ -580,30 +601,16 @@ def equivalent(a, b, budget=DEFAULT_BUDGET):
 def trim(a):
     """Restrict an NFA to useful states (reachable and co-reachable).
 
-    Kept states are renumbered in ascending original order.  An automaton
-    with empty language trims to zero states.
+    The useful states are the members of the components that `_usefulness`
+    finds both reachable and co-reachable, read off one pass of
+    `strong_components`.  Kept states are renumbered in ascending original
+    order.  An automaton with empty language trims to zero states.
     """
     a = as_nfa(a)
-    adj = _adjacency(a)
-    bwd = {}
-    for p, m in enumerate(adj):
-        for q in bits(m):
-            bwd.setdefault(q, []).append(p)
-    reach = set(a.initial)
-    stack = list(a.initial)
-    while stack:
-        for q in bits(adj[stack.pop()]):
-            if q not in reach:
-                reach.add(q)
-                stack.append(q)
-    co = set(a.final)
-    stack = list(a.final)
-    while stack:
-        for p in bwd.get(stack.pop(), ()):
-            if p not in co:
-                co.add(p)
-                stack.append(p)
-    keep = sorted(reach & co)
+    components = strong_components(a)
+    fwd, co = _usefulness(a, components)
+    comp_of = components[1]
+    keep = [q for q, c in enumerate(comp_of) if fwd[c] and co[c]]
     remap = {q: i for i, q in enumerate(keep)}
     k = a.k
     succ = a.succ_masks()

@@ -25,6 +25,7 @@ from .core import (
     DEFAULT_BUDGET,
     Dfa,
     Word,
+    _usefulness,
     as_nfa,
     check_budget,
     complement,
@@ -33,7 +34,7 @@ from .core import (
     strong_components,
 )
 from .closures import _check_direction, _reduced_down_closure, up_closure
-from .kernels import bits, rows
+from .kernels import maximal, rows
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class Certificate:
 
 
 def _closure_nfa(a, direction):
-    """The closure NFA of `a` and its reducer (None unless a down closure
-    takes the reduced route of closures._reduced_down_closure)."""
-    return (up_closure(a), None) if direction == "up" else _reduced_down_closure(a)
+    """The closure NFA of `a` and whether its subsets are reduced (only a
+    down closure on the reduced route of closures._reduced_down_closure)."""
+    return (up_closure(a), False) if direction == "up" else _reduced_down_closure(a)
 
 
 def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
@@ -67,16 +68,17 @@ def shortest_in_difference(a, b, budget=DEFAULT_BUDGET):
     pair accepted by a and not by b; so the word returned is the least of
     the difference.
     """
-    return _shortest_in_difference(a, b, budget, None, None)
+    return _shortest_in_difference(a, b, budget, False, False)
 
 
-def _shortest_in_difference(a, b, budget, areduce, breduce):
-    """shortest_in_difference, with every subset that side a (b) reaches
-    replaced by areduce(subset) (breduce) unless that is None.
+def _shortest_in_difference(a, b, budget, areduced, breduced):
+    """shortest_in_difference, with every subset that side a reaches
+    replaced by its `kernels.maximal` part on a's own table when
+    `areduced`, and likewise for b.
 
-    The decisions below pass, for a down-closure side built by
-    closures._reduced_down_closure (inputs of more than
-    REDUCE_MIN_STATES states), its reducer, which keeps a subset's
+    The decisions below set the flag of a down-closure side that
+    closures._reduced_down_closure reduces (inputs of more than
+    REDUCE_MIN_STATES states): `maximal` keeps a subset's
     reachability-maximal members.  That is sound because in a down
     closure a state simulates every state it reaches, so a reduced pair
     has the language of the pair it replaces.  The witness stays the
@@ -109,22 +111,22 @@ def _shortest_in_difference(a, b, budget, areduce, breduce):
     bfin = b.final_mask()
     canon = {}  # one int object per mask value, for both sides
 
-    def memo(succ, reduce):
+    def memo(succ, reduced):
         rows_of = {}
 
         def walk(mask):
             row = rows(succ, k, mask)
-            if reduce is not None:
-                row = map(reduce, row)
+            if reduced:
+                row = [maximal(succ, k, m) for m in row]
             rows_of[mask] = row = [canon.setdefault(m, m) for m in row]
             return row
 
         return rows_of, walk
 
-    arows, awalk = memo(asucc, areduce)
-    brows, bwalk = memo(bsucc, breduce)
-    start = (a.init_mask() if areduce is None else areduce(a.init_mask()),
-             b.init_mask() if breduce is None else breduce(b.init_mask()))
+    arows, awalk = memo(asucc, areduced)
+    brows, bwalk = memo(bsucc, breduced)
+    start = (maximal(asucc, k, a.init_mask()) if areduced else a.init_mask(),
+             maximal(bsucc, k, b.init_mask()) if breduced else b.init_mask())
     if not start[0]:
         return None
     if start[0] & afin and not start[1] & bfin:
@@ -172,8 +174,8 @@ def is_closed(a, direction, budget=DEFAULT_BUDGET):
     check_budget(a, budget)
     a = as_nfa(a)
     _check_direction(direction)
-    closure, reduce = _closure_nfa(a, direction)
-    w = _shortest_in_difference(closure, a, budget, reduce, None)
+    closure, reduced = _closure_nfa(a, direction)
+    w = _shortest_in_difference(closure, a, budget, reduced, False)
     return Certificate(w is None, w)
 
 
@@ -301,10 +303,10 @@ def _closure_operands(a, b, direction, budget):
 
 
 def _inclusion(a, b, direction, budget, closure_a, closure_b):
-    """closure_inclusion(a, b) from the (NFA, reducer) pairs of
+    """closure_inclusion(a, b) from the (NFA, reduced) pairs of
     _closure_nfa for a and for b."""
-    (ca, areduce), (cb, breduce) = closure_a, closure_b
-    w = _shortest_in_difference(ca, cb, budget, areduce, breduce)
+    (ca, areduced), (cb, breduced) = closure_a, closure_b
+    w = _shortest_in_difference(ca, cb, budget, areduced, breduced)
     if w is None:
         return Certificate(True)
     if direction == "up":
@@ -321,30 +323,19 @@ def down_universal(a, budget=DEFAULT_BUDGET):
     useful state q can, for every letter a, reach a transition labelled a
     and come back (then arbitrarily long words embed into words of L).
     Such a transition lies inside q's strongly connected component, so
-    the test runs once per component: it must be reachable from an
-    initial state, reach a final state, and hold an internal transition
-    for every letter.  The witness of a negative answer is the shortest
-    word missing from the down-closure.
+    the test runs once per component: it must be useful (reachable from
+    an initial state and reaching a final one, core._usefulness) and hold
+    an internal transition for every letter.  The witness of a negative
+    answer is the shortest word missing from the down-closure; its
+    closure route reuses the components found here.
     """
     check_budget(a, budget)
     a = as_nfa(a)
     k = a.k
     succ = a.succ_masks()
-    comps, comp_of, below = strong_components(a)
-    # co[i]: component i reaches a final state; `below` comes first
-    co = []
-    for i, members in enumerate(comps):
-        co.append(not a.final.isdisjoint(members) or any(co[j] for j in below[i]))
-    # fwd[i]: component i is reachable from an initial state; the
-    # reversed component order is topological
-    fwd = [False] * len(comps)
-    for q in bits(a.init_mask()):
-        fwd[comp_of[q]] = True
-    for i in reversed(range(len(comps))):
-        if fwd[i]:
-            for j in below[i]:
-                fwd[j] = True
-    for i, members in enumerate(comps):
+    components = strong_components(a)
+    fwd, co = _usefulness(a, components)
+    for i, members in enumerate(components[0]):
         if not (fwd[i] and co[i]):
             continue
         inside = 0
@@ -352,6 +343,6 @@ def down_universal(a, budget=DEFAULT_BUDGET):
             inside |= 1 << p
         if all(any(succ[p * k + x] & inside for p in members) for x in range(k)):
             return Certificate(True)
-    closure, reduce = _closure_nfa(a, "down")
-    w = _shortest_in_difference(sigma_star_dfa(a.alphabet), closure, budget, None, reduce)
+    closure, reduced = _reduced_down_closure(a, components)
+    w = _shortest_in_difference(sigma_star_dfa(a.alphabet), closure, budget, False, reduced)
     return Certificate(False, w)

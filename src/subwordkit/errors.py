@@ -33,9 +33,4 @@ class BudgetExceededError(SubwordkitError):
 
 
 class VerificationError(SubwordkitError):
-    """A claimed certificate failed its check.  `detail` identifies the
-    offending item (for fooling sets, the pair indices)."""
-
-    def __init__(self, message, detail=None):
-        self.detail = detail
-        super().__init__(message)
+    """A claimed certificate failed its check."""

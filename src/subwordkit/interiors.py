@@ -40,7 +40,6 @@ from .core import (
 )
 from .closures import closure_dfa
 from . import kernels
-from .kernels import minimal_masks as _minimal_masks  # noqa: F401  (its tests import it here)
 
 
 @dataclass(frozen=True)

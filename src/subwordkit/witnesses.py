@@ -41,9 +41,9 @@ FAMILY_NAMES = ("U", "V", "Uprime", "E", "D", "notU",
 FOOLING_NAMES = ("U", "V", "Uprime", "D", "notU", "downD", "upE")
 
 
-def _check_k(name, param, low=1):
-    if not isinstance(param, int) or param < low:
-        raise InputError(f"family {name} needs an integer parameter >= {low}")
+def _check_k(name, param):
+    if not isinstance(param, int) or param < 1:
+        raise InputError(f"family {name} needs an integer parameter >= 1")
 
 
 def gen_family(name, param):

@@ -10,9 +10,10 @@ of every shorter suffix instead of only the undominated ones, powerset
 brute force instead of the memoized antichain recursion, an all-pairs
 test instead of the one-pass antichain reduction, Fraction elimination
 instead of the fraction-free integer one, a membership run per pair
-instead of forward and backward state sets, and Decimal arithmetic
-instead of the integer Lucas/Fibonacci formula.  Slow is fine; these
-only run on small inputs.
+instead of forward and backward state sets, a forward and a backward
+search over the triples instead of one pass over the strongly connected
+components, and Decimal arithmetic instead of the integer
+Lucas/Fibonacci formula.  Slow is fine; these only run on small inputs.
 """
 
 import itertools
@@ -204,6 +205,29 @@ def _reach_sets(trans, n):
                     stack.append(q)
         reach.append(seen)
     return reach
+
+
+def useful_states_naive(a):
+    """The states reachable from an initial state and reaching a final
+    one, sorted: a forward search from the initial states and a backward
+    search from the final states, over the triples."""
+    trans, initial, final, _, _ = _as_triples(a)
+
+    def search(start, edges):
+        seen = set(start)
+        stack = list(start)
+        while stack:
+            for q in edges.get(stack.pop(), ()):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    fwd, bwd = {}, {}
+    for p, _, q in trans:
+        fwd.setdefault(p, set()).add(q)
+        bwd.setdefault(q, set()).add(p)
+    return sorted(search(initial, fwd) & search(final, bwd))
 
 
 def down_closure_saturation(a):

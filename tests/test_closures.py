@@ -13,7 +13,7 @@ from subwordkit import (
 from subwordkit.experiments import random_nfa
 
 from subwordkit.closures import REDUCE_MIN_STATES, _dominators, _reduced_down_closure
-from subwordkit.kernels import bits, cone_closure, is_subword, step
+from subwordkit.kernels import bits, cone_closure, is_subword, maximal, step
 
 from oracles import (
     all_words, cone_closure_naive, dominators_scan, down_closure_saturation, down_member,
@@ -211,10 +211,11 @@ def test_reduced_down_closure_dfa_matches_the_powerset_route(a):
 @settings(max_examples=40, deadline=None)
 @given(dags(min_states=REDUCE_MIN_STATES + 1, back_edges=4), st.randoms(use_true_random=False))
 def test_reduced_down_closure_keeps_the_lowest_member_of_each_maximal_component(a, rng):
-    # the route numbers the closure so that its reducer, in one pass from
-    # the lowest bit, keeps exactly the members that no other member
-    # reaches, and of members that reach each other the lowest
-    closure, reduce = _reduced_down_closure(a)
+    # the route numbers the closure so that `maximal` on its table, in one
+    # pass from the lowest bit, keeps exactly the members that no other
+    # member reaches, and of members that reach each other the lowest
+    closure, reduced = _reduced_down_closure(a)
+    assert reduced
     n, k, succ = closure.n, closure.k, closure.succ_masks()
     reach = []
     for q in range(n):
@@ -232,7 +233,7 @@ def test_reduced_down_closure_keeps_the_lowest_member_of_each_maximal_component(
         kept = {m for m in members
                 if all(not reach[p] >> m & 1 or (reach[m] >> p & 1 and m < p)
                        for p in members if p != m)}
-        assert set(bits(reduce(mask))) == kept
+        assert set(bits(maximal(succ, k, mask))) == kept
 
 
 def test_down_closure_dfa_of_a_5000_state_path():

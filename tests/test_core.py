@@ -24,9 +24,9 @@ from subwordkit.kernels import explore, rows, step
 
 from oracles import (
     accepts_naive, all_words, count_accepting_runs, language_upto,
-    minimal_dfa_size, strong_components_naive,
+    minimal_dfa_size, strong_components_naive, useful_states_naive,
 )
-from strategies import nfas
+from strategies import dags, nfas
 
 
 def test_alphabet_basics():
@@ -495,6 +495,19 @@ def test_trim_keeps_only_useful_states():
     assert t.transitions == frozenset([(0, 0, 1)])
     for w in all_words(ab, 3):
         assert accepts(t, w) == accepts(a, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(nfas(), dags(max_states=80, back_edges=4)))
+def test_trim_keeps_the_states_of_a_forward_and_backward_search(a):
+    keep = useful_states_naive(a)
+    remap = {q: i for i, q in enumerate(keep)}
+    t = trim(a)
+    assert t.n == len(keep)
+    assert t.transitions == {(remap[p], x, remap[q]) for p, x, q in a.transitions
+                             if p in remap and q in remap}
+    assert t.initial == {remap[q] for q in a.initial if q in remap}
+    assert t.final == {remap[q] for q in a.final if q in remap}
 
 
 def test_trim_empty_language_gives_zero_states():

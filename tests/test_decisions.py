@@ -121,6 +121,33 @@ def test_positive_closure_equal_builds_each_closure_once(monkeypatch):
         assert calls == [direction, direction]
 
 
+def test_each_operation_finds_the_components_of_its_input_once(monkeypatch):
+    import subwordkit.closures as closures
+    import subwordkit.core as core
+
+    calls = []
+    find = core.strong_components
+
+    def counting(a):
+        calls.append(a.n)
+        return find(a)
+
+    for module in (core, closures, decisions):
+        monkeypatch.setattr(module, "strong_components", counting)
+    # a path of 100 states numbered against its edges: its down closure
+    # takes the reduced route and renumbers the states
+    n = 100
+    assert n > closures.REDUCE_MIN_STATES
+    path = Nfa(auto_alphabet(2), n, {(i + 1, i % 2, i) for i in range(n - 1)}, {n - 1}, {0})
+    e6, d6 = gen_family("E", 6), gen_family("D", 6)
+    for run in (lambda: closure_dfa(e6, "up"), lambda: down_universal(d6),
+                lambda: closure_dfa(path, "down")):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+    assert not down_universal(d6).verdict
+
+
 def test_is_closed_known_cases():
     assert is_closed(gen_family("U", 2), "up").verdict
     assert is_closed(gen_family("V", 2), "down").verdict

@@ -10,7 +10,7 @@ from subwordkit import (
     substitution_preimage, up_interior, up_interior_spec,
 )
 from subwordkit.experiments import random_nfa
-from subwordkit.interiors import _minimal_masks
+from subwordkit.kernels import minimal_masks
 
 from oracles import (all_words, antichain_count_naive, down_member, minimal_masks_naive,
                      up_member)
@@ -22,12 +22,12 @@ from oracles import (all_words, antichain_count_naive, down_member, minimal_mask
 @example([0b011, 0b001, 0b110, 0b111, 0b001])
 @example([0b101, 0, 0b001, 0])
 def test_minimal_masks_matches_all_pairs(masks):
-    assert _minimal_masks(masks) == minimal_masks_naive(masks)
+    assert minimal_masks(masks) == minimal_masks_naive(masks)
 
 
 def test_antichain_reduce():
-    assert _minimal_masks([0b011, 0b001, 0b110, 0b111, 0b001]) == {0b001, 0b110}
-    assert _minimal_masks([]) == frozenset()
+    assert minimal_masks([0b011, 0b001, 0b110, 0b111, 0b001]) == {0b001, 0b110}
+    assert minimal_masks([]) == frozenset()
 
 
 def test_antichain_reduce_result_is_reduced():
@@ -35,7 +35,7 @@ def test_antichain_reduce_result_is_reduced():
     for _ in range(150):
         masks = [sum(1 << q for q in range(4) if rng.random() < 0.5)
                  for _ in range(rng.randrange(6))]
-        fam = _minimal_masks(masks)
+        fam = minimal_masks(masks)
         for m in fam:
             for other in fam:
                 if m != other:

@@ -107,14 +107,16 @@ def test_compiled_cone_across_table_growths_and_batches(make):
 
 
 def test_compiled_cone_refuses_ids_out_of_range_and_short_tables():
+    # both backends, through the checks of the tables they share
     args = cone_args(dfa_from_words(auto_alphabet(1), [Word(auto_alphabet(1), (0,))]))
     num, k, nxt, eps, dom, start = args
-    assert _native.cone_closure(*args, 10)[0] == 2
-    for bad in ((num, k, nxt, 10**7, dom, start), (num, k, [-1, *nxt[1:]], eps, dom, start),
-                (num, k, nxt, eps, dom, [num]), (num, k, nxt[1:], eps, dom, start),
-                (num, k, nxt, eps, dom[1:], start)):
-        with pytest.raises(ValueError, match="cone_closure"):
-            _native.cone_closure(*bad, 10)
+    for mod in (_native, _kernels_py):
+        assert mod.cone_closure(*args, 10)[0] == 2
+        for bad in ((num, k, nxt, 10**7, dom, start), (num, k, [-1, *nxt[1:]], eps, dom, start),
+                    (num, k, nxt, eps, dom, [num]), (num, k, nxt[1:], eps, dom, start),
+                    (num, k, nxt, eps, dom[1:], start)):
+            with pytest.raises(ValueError, match="cone_closure"):
+                mod.cone_closure(*bad, 10)
 
 
 def subset_backends_agree(a, reduced, budget=1 << 20):
