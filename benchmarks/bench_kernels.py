@@ -17,7 +17,6 @@ import time
 
 from subwordkit import DEFAULT_BUDGET, decisions, down_closure, gen_family, up_closure
 from subwordkit import _kernels_py
-from subwordkit.closures import _dominators
 from subwordkit.experiments import random_nfa
 from subwordkit.interiors import down_interior_spec, up_interior_spec
 
@@ -76,28 +75,13 @@ def workload_cone(rng):
     k = 3
     words = sorted({tuple(rng.randrange(k) for _ in range(9))
                     for _ in range(12)})
-    # keep only embedding-minimal generators, then build the suffix tables
-    gens = [w for w in words
-            if not any(v != w and _kernels_py.is_subword(v, w) for v in words)]
-    sid = {}
-    for w in gens:
-        for i in range(len(w) + 1):
-            sid.setdefault(w[i:], len(sid))
-    num = len(sid)
-    by_id = sorted(sid, key=sid.get)
-    nxt = [0] * (num * k)
-    for s, i in sid.items():
-        for x in range(k):
-            nxt[i * k + x] = sid[s[1:]] if s and s[0] == x else i
-    dom = _dominators(by_id, sid)
-    start = [sid[w] for w in gens]
+    suffixes = len({w[i:] for w in words for i in range(len(w) + 1)})
 
     def run(mod):
-        n, delta, finals = mod.cone_closure(num, k, nxt, sid[()], dom, start,
-                                            DEFAULT_BUDGET)
+        n, delta, finals = mod.cone_closure(k, words, DEFAULT_BUDGET)
         return n, list(delta), list(finals)
 
-    return "cone_closure", f"{len(gens)} generators, {num} suffixes", run
+    return "cone_closure", f"{len(words)} generators, {suffixes} suffixes", run
 
 
 def workload_antichain(rng):

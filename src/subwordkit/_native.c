@@ -1,7 +1,11 @@
-/* The compiled kernels of subwordkit._native: the cone BFS, subset
+/* The compiled kernels of subwordkit._native: the cone closure, subset
  * construction, the antichain search of the interiors and Hopcroft
  * minimisation of _kernels_py, with the same numbering, budget rule and
- * results.
+ * results.  The cone takes its finite language as words (one array of
+ * letters and their offsets) and builds its own tables, `cone_tables`,
+ * before the BFS: the subword-minimal words, their suffixes numbered by
+ * (tail id, head letter) in a state_set, and the dominators by the
+ * suffix recurrence.
  *
  * A set of ids is a bitset of uint64 words, bit s of word s / 64 for id
  * s.  A cone state, an antichain of suffix ids, has the fixed width
@@ -386,13 +390,14 @@ out:
 
 /* The cone step of _kernels_py.cone_closure.  A state steps on letter a
  * as (st | moved) & ~drop over its members in heads[a] only: a moving id
- * s adds its tail, tails[s], and drops ups[s], the ids that tail strictly
- * embeds into.  A state with no moving member is its own successor. */
+ * s adds its tail, tails[s], and drops into[tails[s]], the ids that tail
+ * strictly embeds into (s among them).  A state with no moving member is
+ * its own successor. */
 typedef struct {
     int64_t k, w;
     const uint64_t *heads;  /* k * w words: the ids whose head is each letter */
     const int32_t *tails;
-    const uint64_t *ups;    /* n * w words */
+    const uint64_t *into;   /* n * w words: into[t], the ids t strictly embeds into */
     uint64_t *out;          /* k * w words: the successors */
     uint64_t *drop;         /* w words */
 } cone_ctx;
@@ -419,7 +424,7 @@ static int cone_step(void *p, const state_set *s, int64_t i, const uint64_t **ru
             for (uint64_t m = cur[j] & head[j]; m; m &= m - 1) {
                 int64_t id = j * 64 + __builtin_ctzll(m);
                 int32_t t = c->tails[id];
-                const uint64_t *up = c->ups + id * w;
+                const uint64_t *up = c->into + (int64_t)t * w;
                 moved[t / 64] |= (uint64_t)1 << (t % 64);
                 for (int64_t x = 0; x < w; x++)
                     drop[x] |= up[x];
@@ -433,19 +438,177 @@ static int cone_step(void *p, const state_set *s, int64_t i, const uint64_t **ru
     return NATIVE_OK;
 }
 
-/* The antichain cone of _kernels_py.cone_closure, on cone_step.  heads:
- * k * w words; tails: n ids; ups: n * w words; start: w words, w =
- * ceil(n / 64).  On NATIVE_OK, *delta_out holds *count_out * k targets,
- * and *final_out is the number of the state {eps}, or -1. */
-int cone_closure(int32_t n, int32_t k, const uint64_t *heads, const int32_t *tails,
-                 const uint64_t *ups, const uint64_t *start, int32_t eps, int64_t budget,
-                 int32_t **delta_out, int64_t *count_out, int64_t *final_out)
+/* Whether the word x (xlen letters) embeds into the word y (ylen):
+ * the greedy leftmost match. */
+static int embeds(const int32_t *x, int64_t xlen, const int32_t *y, int64_t ylen)
 {
+    int64_t i = 0;
+    for (int64_t j = 0; i < xlen && j < ylen; j++)
+        if (x[i] == y[j])
+            i++;
+    return i == xlen;
+}
+
+/* a word of the input: its length and its place, for sorting by length */
+typedef struct {
+    int64_t len, at;
+} word_ref;
+
+static int cmp_word(const void *x, const void *y)
+{
+    const word_ref *a = x, *b = y;
+    if (a->len != b->len)
+        return (a->len > b->len) - (a->len < b->len);
+    return (a->at > b->at) - (a->at < b->at);
+}
+
+/* The tables of the cone of the nwords words, word i being letters[off[i]
+ * .. off[i + 1]), as _kernels_py.cone_tables builds them: NATIVE_BADINPUT
+ * for a letter outside [0, k) or offsets that go back.
+ *
+ * The subword-minimal words are kept: in order of length, a word is
+ * dropped when a kept one embeds into it (a duplicate too).  Their
+ * distinct suffixes are numbered in the state_set `sfx` by the key (tail
+ * id, head letter), the empty suffix first as id 0, so equal suffixes of
+ * different words share an id and every tail has a lower id than its
+ * suffix.  Emb(s), the ids that embed into s, s among them, follows
+ *
+ *     Emb(x.s) = Emb(s) | {the id of x.u : u in Emb(s)},
+ *
+ * in ascending id order; the new members are found from their side, as
+ * the ids v with head x outside Emb(s) whose tail is in it, one bit probe
+ * each.  into[t], the ids that t strictly embeds into, is the transpose.
+ * On NATIVE_OK, *n_out is the number of ids, w = ceil(n / 64), and the
+ * caller releases *tails_out (n ids), *heads_out (k * w words), *into_out
+ * (n * w words) and *start_out (w words: the minimal words' ids). */
+static int cone_tables(int64_t k, int64_t nwords, const int32_t *letters, const int64_t *off,
+                       int64_t *n_out, int32_t **tails_out, uint64_t **heads_out,
+                       uint64_t **into_out, uint64_t **start_out)
+{
+    int rc = NATIVE_BADINPUT;
+    if (k < 0 || nwords < 0 || off[0] != 0)
+        return rc;
+    for (int64_t i = 0; i < nwords; i++)
+        if (off[i + 1] < off[i])
+            return rc;
+    for (int64_t j = 0; j < off[nwords]; j++)
+        if (letters[j] < 0 || letters[j] >= k)
+            return rc;
+    rc = NATIVE_NOMEM;
+    state_set sfx;
+    int init = set_init(&sfx, 0, 2, 64);
+    word_ref *order = malloc((nwords + 1) * sizeof *order);
+    int64_t ngens = 0, total = 1;
+    int32_t *tails = NULL;
+    uint64_t *heads = NULL, *emb = NULL, *into = NULL, *start = NULL;
+    if (init != NATIVE_OK || !order)
+        goto out;
+    for (int64_t i = 0; i < nwords; i++)
+        order[i] = (word_ref){off[i + 1] - off[i], i};
+    qsort(order, nwords, sizeof *order, cmp_word);
+    for (int64_t i = 0; i < nwords; i++) {
+        const word_ref *y = order + i;
+        int64_t g;
+        for (g = 0; g < ngens; g++)
+            if (embeds(letters + off[order[g].at], order[g].len, letters + off[y->at], y->len))
+                break;
+        if (g == ngens) {
+            order[ngens++] = *y;
+            total += y->len;
+        }
+    }
+    /* number the suffixes: the empty one, then each kept word's from its end */
+    uint64_t key[2] = {UINT64_MAX, UINT64_MAX};
+    if (number(&sfx, key, 2, hash_words(key, 2), MAX_STATES, &rc) < 0)
+        goto out;
+    int64_t w = (total + 63) / 64;  /* total bounds the ids: fixed before numbering */
+    start = calloc(w, sizeof *start);
+    if (!start)
+        goto out;
+    for (int64_t g = 0; g < ngens; g++) {
+        const int32_t *x = letters + off[order[g].at];
+        int64_t t = 0;
+        for (int64_t j = order[g].len - 1; j >= 0; j--) {
+            key[0] = (uint64_t)t;
+            key[1] = (uint64_t)x[j];
+            if ((t = number(&sfx, key, 2, hash_words(key, 2), MAX_STATES, &rc)) < 0)
+                goto out;
+        }
+        start[t / 64] |= (uint64_t)1 << (t % 64);
+    }
+    int64_t n = sfx.count;
+    w = (n + 63) / 64;
+    tails = malloc(n * sizeof *tails);
+    heads = calloc(k * w + 1, sizeof *heads);
+    emb = calloc(n * w, sizeof *emb);
+    into = calloc(n * w, sizeof *into);
+    if (!tails || !heads || !emb || !into)
+        goto out;
+    tails[0] = 0;
+    for (int64_t s = 1; s < n; s++) {
+        tails[s] = (int32_t)sfx.words[2 * s];
+        int64_t x = (int64_t)sfx.words[2 * s + 1];
+        heads[x * w + s / 64] |= (uint64_t)1 << (s % 64);
+    }
+    emb[0] = 1;
+    for (int64_t s = 1; s < n; s++) {
+        const uint64_t *head = heads + (int64_t)sfx.words[2 * s + 1] * w;
+        const uint64_t *e = emb + (int64_t)tails[s] * w;
+        uint64_t *d = emb + s * w;
+        for (int64_t j = 0; j < w; j++) {
+            d[j] = e[j];
+            for (uint64_t m = head[j] & ~e[j]; m; m &= m - 1) {
+                int64_t v = j * 64 + __builtin_ctzll(m);
+                if (e[tails[v] / 64] >> (tails[v] % 64) & 1)
+                    d[j] |= m & -m;
+            }
+        }
+    }
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t j = 0; j < w; j++)
+            for (uint64_t m = emb[v * w + j]; m; m &= m - 1) {
+                int64_t u = j * 64 + __builtin_ctzll(m);
+                if (u != v)
+                    into[u * w + v / 64] |= (uint64_t)1 << (v % 64);
+            }
+    *n_out = n;
+    *tails_out = tails;
+    *heads_out = heads;
+    *into_out = into;
+    *start_out = start;
+    tails = NULL;
+    heads = into = start = NULL;
+    rc = NATIVE_OK;
+out:
+    set_free(&sfx);
+    free(order);
+    free(tails);
+    free(heads);
+    free(emb);
+    free(into);
+    free(start);
+    return rc;
+}
+
+/* The antichain cone of _kernels_py.cone_closure, on cone_step, for the
+ * nwords words of letters and off (see cone_tables): the minimal DFA of
+ * their upward closure.  On NATIVE_OK, *delta_out holds *count_out * k
+ * targets, and *final_out is the number of the state {eps}, or -1.  No
+ * words give one state that is its own successor on every letter. */
+int cone_closure(int32_t k, int64_t nwords, const int32_t *letters, const int64_t *off,
+                 int64_t budget, int32_t **delta_out, int64_t *count_out, int64_t *final_out)
+{
+    int64_t n = 0;
+    int32_t *tails = NULL;
+    uint64_t *heads = NULL, *into = NULL, *start = NULL, *buf = NULL;
+    state_set s = {0};
+    int rc = cone_tables(k, nwords, letters, off, &n, &tails, &heads, &into, &start);
+    if (rc != NATIVE_OK)
+        goto out;
     int64_t w = (n + 63) / 64;
-    state_set s;
-    int rc = set_init(&s, k, w, 1024);
-    uint64_t *buf = calloc((k + 1) * w + 1, sizeof *buf);
-    cone_ctx c = {k, w, heads, tails, ups, buf, buf + k * w};
+    rc = set_init(&s, k, w, 1024);
+    buf = calloc((k + 1) * w + 1, sizeof *buf);
+    cone_ctx c = {k, w, heads, tails, into, buf, buf + k * w};
     if (rc != NATIVE_OK || !buf) {
         rc = NATIVE_NOMEM;
         goto out;
@@ -453,12 +616,16 @@ int cone_closure(int32_t n, int32_t k, const uint64_t *heads, const int32_t *tai
     if ((rc = explore(&s, start, w, budget, cone_step, &c)) != NATIVE_OK)
         goto out;
     memset(buf, 0, w * sizeof *buf);
-    buf[eps / 64] = (uint64_t)1 << (eps % 64);
+    buf[0] = 1;  /* {eps}: the empty suffix is id 0 */
     *final_out = (int64_t)s.slots[find(&s, buf, w, hash_words(buf, w))].num - 1;
     *count_out = s.count;
     *delta_out = s.delta;
     s.delta = NULL;
 out:
+    free(tails);
+    free(heads);
+    free(into);
+    free(start);
     free(buf);
     set_free(&s);
     return rc;

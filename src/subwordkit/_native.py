@@ -12,9 +12,13 @@ ImportError, and `kernels` then runs the pure kernels.
 
 Four kernels are compiled: `cone_closure`, `subset_construction`,
 `antichain_preimage` and `dfa_minimize`.  Each takes the arguments and
-returns the results of its namesake in `_kernels_py`, the cone from the
-same per-id tables (`cone_tables`).  The first three number their states
-with one C loop, `explore`, and differ only in the step they hand it.
+returns the results of its namesake in `_kernels_py`.  The cone's words
+cross as one array of letters and their offsets, and C builds the tables
+that `_kernels_py.cone_tables` builds (the minimal words, their suffix
+ids, the dominators and their transpose) before it runs the BFS, so a
+cone closure is one call into the library.  The first three number
+their states with one C loop, `explore`, and differ only in the step
+they hand it.
 `explore` finds states again through one open-addressing table whose
 slots carry the state's 32-bit hash, so a lookup reads a state's words
 only when the hashes match; the table grows at 3/4 load.  It steps a batch
@@ -37,9 +41,9 @@ import shutil
 import sys
 import tempfile
 from array import array
+from itertools import accumulate, chain
 
 from . import _kernels_py
-from ._kernels_py import cone_tables
 from .errors import BudgetExceededError
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
@@ -105,7 +109,7 @@ def load(cache, cc):
             raise OSError(f"{path} is not private to this user")
         lib = ctypes.CDLL(path)
         ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
-        lib.cone_closure.argtypes = [i32, i32, ptr, ptr, ptr, ptr, i32, i64, ptr, ptr, ptr]
+        lib.cone_closure.argtypes = [i32, i64, ptr, ptr, i64, ptr, ptr, ptr]
         lib.subset_construction.argtypes = [i32, i32, ptr, ptr, ptr, i64, i32, i64,
                                             ptr, ptr, ptr, ptr]
         lib.antichain_preimage.argtypes = [i32, i32, ptr, ptr, ptr, i64, ptr, i64, i32, ptr, ptr,
@@ -133,14 +137,6 @@ def _native_words(words):
     if sys.byteorder == "big":
         words.byteswap()
     return words
-
-
-def _words(masks, width):
-    """The masks as `width` uint64 words each, low word first."""
-    out = array("Q")
-    for m in masks:
-        out.frombytes(m.to_bytes(8 * width, "little"))
-    return _native_words(out)
 
 
 def _runs(masks):
@@ -182,21 +178,26 @@ def _check(rc, what, budget=None):
         raise ValueError(f"{what}: a state out of range")
 
 
-def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
-    """_kernels_py.cone_closure, with the BFS and the step in C."""
-    heads, tails, ups = cone_tables(num_suffixes, k, nxt, eps_id, dom_masks, start)
-    width = (num_suffixes + 63) // 64
-    start_mask = 0
-    for s in start:
-        start_mask |= 1 << s
-    args = (_words(heads, width), array("i", tails), _words(ups, width),
-            _words([start_mask], width))
+def cone_closure(k, words, budget):
+    """_kernels_py.cone_closure, with the tables, the BFS and the step in
+    C: the words cross as one array of letters and their offsets."""
+    if not 0 <= k <= _MAX_STATES:
+        raise ValueError(_kernels_py.CONE_LETTER_ERROR)
+    if not words:
+        return _kernels_py.cone_closure(k, words, budget)
+    try:
+        letters = array("i", chain.from_iterable(words))
+    except OverflowError:
+        raise ValueError(_kernels_py.CONE_LETTER_ERROR) from None
+    off = array("q", accumulate(map(len, words), initial=0))
     delta_p = ctypes.c_void_p()
     count = ctypes.c_int64()
     final = ctypes.c_int64()
-    rc = _lib.cone_closure(num_suffixes, k, *map(_addr, args), eps_id,
+    rc = _lib.cone_closure(k, len(words), _addr(letters), _addr(off),
                            max(0, min(budget, _MAX_STATES)), ctypes.byref(delta_p),
                            ctypes.byref(count), ctypes.byref(final))
+    if rc == _BADINPUT:
+        raise ValueError(_kernels_py.CONE_LETTER_ERROR)
     _check(rc, "closure antichain states", budget)
     delta = _take(delta_p, "i", count.value * k)
     return count.value, delta, [final.value] if final.value >= 0 else []

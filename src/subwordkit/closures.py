@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .core import (DEFAULT_BUDGET, Dfa, Nfa, Word, _determinize, _usefulness, as_nfa,
+from .core import (DEFAULT_BUDGET, Dfa, Nfa, _determinize, _usefulness, as_nfa,
                    check_budget, determinize, empty_language_dfa, minimize,
                    strong_components)
 from .errors import InputError
-from .subwords import minimal_words
 from . import kernels
 
 # Cone fast-path limits: beyond these the generic route is used.
@@ -174,8 +173,8 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
 
 
 def _finite_language(a):
-    """The full word list when the NFA `a` has a finite language and the
-    cone caps allow, else None.
+    """The full word list, as sorted letter tuples, when the NFA `a` has a
+    finite language and the cone caps allow, else None.
 
     The language is finite iff every useful component (see
     core._usefulness) is one state without a self-loop.  The words are
@@ -215,83 +214,14 @@ def _finite_language(a):
             stack.append((r, path + (x,)))
     if sum(len(w) + 1 for w in words) > CONE_SUFFIX_CAP:
         return None
-    return [Word(a.alphabet, w) for w in sorted(words)]
+    return sorted(words)
 
 
 def _cone_dfa(alphabet, words, budget):
-    """Minimal DFA of the upward closure of a finite word list.
-
-    States of the closure's minimal DFA correspond to antichains of the
-    yet-unmatched suffixes of the generating words, keyed by suffix content;
-    the kernel explores them in BFS order, so the result needs no minimize
-    pass (asserted against the generic route in the tests).  Suffix ids
-    are numbered word by word; the kernel's result does not depend on
-    the numbering.
-    """
-    gens = minimal_words(words)
-    if not gens:
+    """Minimal DFA of the upward closure of a finite list of letter tuples,
+    built by the cone kernel (see _kernels_py.cone_closure) as antichains
+    of pending suffixes; the empty language loads no kernel."""
+    if not words:
         return empty_language_dfa(alphabet)
-    k = alphabet.k
-    sid = {}
-    for w in gens:
-        for i in range(len(w.letters) + 1):
-            s = w.letters[i:]
-            if s not in sid:
-                sid[s] = len(sid)
-    num = len(sid)
-    by_id = [None] * num
-    for s, i in sid.items():
-        by_id[i] = s
-    nxt = [0] * (num * k)
-    for s, i in sid.items():
-        for x in range(k):
-            nxt[i * k + x] = sid[s[1:]] if s and s[0] == x else i
-    dom = _dominators(by_id, sid)
-    start = [sid[w.letters] for w in gens]
-    n, delta, finals = kernels.cone_closure(num, k, nxt, sid[()], dom, start, budget)
+    n, delta, finals = kernels.cone_closure(alphabet.k, words, budget)
     return Dfa._of_table(alphabet, n, delta, 0, finals)
-
-
-def _dominators(by_id, sid):
-    """dom[i]: bitmask of the ids whose suffix embeds into suffix i's, i
-    excluded.
-
-    A word embeds into x.s exactly when it embeds into s or is x.u for a
-    u that embeds into s, so with Emb(s), the ids that embed into s (s
-    among them),
-
-        Emb(x.s) = Emb(s) | {the id of x.u : u in Emb(s)}.
-
-    Ids key distinct suffixes and are closed under taking tails, so this
-    takes the suffixes by ascending length, each after its tail.  The new
-    members are found from their side: a shorter id y.v outside Emb(s)
-    joins when y = x and v is in Emb(s), one bit probe each, over the
-    shorter ids with head x only.  Walking Emb(s) instead would visit
-    every shorter suffix of a long word: on one random 1999-letter word
-    over two letters that took 626 ms against 48 ms this way (Python
-    3.11, 2 shared vCPUs).
-    """
-    order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
-    dom = [0] * len(by_id)
-    tail = [0] * len(by_id)
-    heads = {}  # letter -> the ids so far whose head it is
-    shorter = same = 0  # the ids shorter than s, and those of its length so far
-    length = 0
-    for i in order:
-        s = by_id[i]
-        if len(s) > length:
-            shorter |= same
-            same = 0
-            length = len(s)
-        same |= 1 << i
-        if not s:
-            continue
-        x = s[0]
-        t = tail[i] = sid[s[1:]]
-        emb = d = dom[t] | 1 << t
-        for v in kernels.bits(shorter & ~emb & heads.get(x, 0)):
-            if emb >> tail[v] & 1:
-                d |= 1 << v
-        dom[i] = d
-        heads[x] = heads.get(x, 0) | 1 << i
-    return dom

@@ -449,10 +449,12 @@ def _adjacency(a):
 def strong_components(a):
     """Strongly connected components of a's transition graph, letters ignored.
 
-    An iterative Tarjan, so a long path needs no deep recursion.  Returns
-    (comps, comp_of, below): comps[i] lists the members of component i,
-    comp_of[q] is the component of state q, and below[i] is a tuple of the
-    other components that an edge from component i enters.  Components
+    An iterative Tarjan, so a long path needs no deep recursion; it keeps
+    the state it searches in local variables and takes each state's edges
+    off its adjacency mask, lowest first.  Returns (comps, comp_of,
+    below): comps[i] lists the members of component i, comp_of[q] is the
+    component of state q, and below[i] is a tuple of the other components
+    that an edge from component i enters.  Components
     come in reverse topological order: every j in below[i] is below i.
     No mask sized by n is built per component, so n states without edges
     cost O(n), not O(n²).
@@ -461,7 +463,6 @@ def strong_components(a):
     n = a.n
     adj = _adjacency(a)
     index = [-1] * n
-    low = [0] * n
     comp_of = [-1] * n
     comps = []
     below = []
@@ -470,7 +471,8 @@ def strong_components(a):
     for root in range(n):
         if index[root] >= 0:
             continue
-        if not adj[root]:
+        m = adj[root]
+        if not m:
             # no edge out, so a component of its own: the common case of
             # states that a header declares and no transition uses
             index[root] = counter
@@ -479,40 +481,51 @@ def strong_components(a):
             comps.append([root])
             below.append(())
             continue
-        index[root] = low[root] = counter
+        # v is the state being searched, m its edges not yet taken and lv
+        # its low link; `path` keeps the same three for each state the
+        # search will return to
+        v = root
+        index[v] = lv = counter
         counter += 1
-        stack.append(root)
-        work = [(root, bits(adj[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
+        stack.append(v)
+        path = []
+        while True:
+            while m:
+                bit = m & -m
+                m ^= bit
+                w = bit.bit_length() - 1
+                iw = index[w]
+                if iw < 0:
+                    path.append((v, m, lv))
+                    v = w
+                    index[v] = lv = counter
                     counter += 1
-                    stack.append(w)
-                    work.append((w, bits(adj[w])))
-                    break
-                if comp_of[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    c = len(comps)
-                    members = []
-                    out = 0
-                    while True:
-                        w = stack.pop()
-                        comp_of[w] = c
-                        members.append(w)
-                        out |= adj[w]
-                        if w == v:
-                            break
-                    comps.append(members)
-                    below.append(tuple({comp_of[q] for q in bits(out)} - {c}) if out else ())
+                    stack.append(v)
+                    m = adj[v]
+                elif iw < lv and comp_of[w] < 0:
+                    lv = iw
+            if lv == index[v]:
+                c = len(comps)
+                w = stack.pop()
+                comp_of[w] = c
+                members = [w]
+                out = adj[w]
+                while w != v:
+                    w = stack.pop()
+                    comp_of[w] = c
+                    members.append(w)
+                    out |= adj[w]
+                comps.append(members)
+                if out & (out - 1):
+                    below.append(tuple({comp_of[q] for q in bits(out)} - {c}))
+                else:  # no edge out, or one
+                    d = comp_of[out.bit_length() - 1] if out else c
+                    below.append((d,) if d != c else ())
+            if not path:
+                break
+            v, m, lu = path.pop()
+            if lu < lv:
+                lv = lu
     return comps, comp_of, below
 
 

@@ -12,8 +12,14 @@ powerset primitives run once per subset, too often to wrap: `rows`,
 which gives a subset's k successor sets from one walk over its members,
 is the one every powerset search steps with; `step`, one letter's
 successor set, is only for reading one letter at a time; `bits` and
-`maximal` list and shrink a subset, and `minimal_masks` shrinks a set of
-subsets to its inclusion-minimal members.
+`maximal` list and shrink a subset, `minimal_masks` shrinks a set of
+subsets to its inclusion-minimal members, and `minimal_words` a set of
+words to its subword-minimal ones.
+
+The cone closure takes its finite language as a list of letter tuples,
+and builds everything else (the minimal words, their suffix ids and the
+dominators) in the backend: the compiled one in C, so that a finite
+up-closure is one kernel call.
 
 `explore` is the one loop that numbers the states of a construction: BFS
 from the start state, letters in index order, at most `budget` states
@@ -30,7 +36,8 @@ small command loads nothing.
 """
 
 from . import _kernels_py
-from ._kernels_py import bits, explore, is_subword, maximal, minimal_masks, rows, step
+from ._kernels_py import (bits, explore, is_subword, maximal, minimal_masks, minimal_words,
+                          rows, step)
 from .errors import BudgetExceededError
 
 # Until the compiled kernels are loaded, a subset construction, an
@@ -62,11 +69,11 @@ def _load():
     return backend
 
 
-def cone_closure(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
-    """Minimal DFA of the upward closure of a finite word set: see
-    _kernels_py.cone_closure, whose results every backend returns."""
-    return (_backend or _load()).cone_closure(num_suffixes, k, nxt, eps_id, dom_masks,
-                                              start, budget)
+def cone_closure(k, words, budget):
+    """Minimal DFA of the upward closure of a finite language, given as
+    letter tuples over k letters: see _kernels_py.cone_closure, whose
+    results every backend returns."""
+    return (_backend or _load()).cone_closure(k, words, budget)
 
 
 def _gated(letters, budget, run):

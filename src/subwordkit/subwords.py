@@ -51,12 +51,7 @@ def minimal_words(words):
     Duplicates are dropped; the result generates the same upward closure as
     the input and is an antichain.
     """
-    ws = []
-    seen = set()
+    first = {}
     for w in words:
-        if w.letters not in seen:
-            seen.add(w.letters)
-            ws.append(w)
-    return [w for w in ws
-            if not any(v.letters != w.letters and kernels.is_subword(v.letters, w.letters)
-                       for v in ws)]
+        first.setdefault(w.letters, w)
+    return [first[x] for x in kernels.minimal_words(first)]

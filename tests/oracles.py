@@ -5,10 +5,12 @@ the code under test: set-based automaton simulation instead of bitmask
 kernels, Moore refinement instead of Hopcroft, a DP table instead of the
 two-pointer subword scan, a frozenset pair search instead of the
 bitmask product search, member-by-member cone steps with a dominance
-test for every member instead of the moving-members-only step, a scan
-of every shorter suffix instead of only the undominated ones, powerset
-brute force instead of the memoized antichain recursion, an all-pairs
-test instead of the one-pass antichain reduction, Fraction elimination
+test for every member instead of the moving-members-only step, on
+per-id tables from all-pairs subword tests instead of the suffix
+recurrence, a scan of every shorter suffix instead of only the
+undominated ones, powerset brute force instead of the memoized antichain
+recursion, an all-pairs test instead of the one-pass antichain
+reduction, Fraction elimination
 instead of the fraction-free integer one, a membership run per pair
 instead of forward and backward state sets, a forward and a backward
 search over the triples instead of one pass over the strongly connected
@@ -121,8 +123,34 @@ def cone_closure_naive(num_suffixes, k, nxt, eps_id, dom_masks, start, budget):
     return len(states), delta, [i for i, st in enumerate(states) if st == final]
 
 
+def dominators_all_pairs(by_id):
+    """dom[i]: bitmask of the suffixes of by_id that embed into by_id[i],
+    by_id[i] excluded, by a subword test of every pair."""
+    return [sum(1 << j for j, v in enumerate(by_id) if v != s and is_subword(v, s))
+            for s in by_id]
+
+
+def cone_closure_words_naive(k, words, budget, numbering):
+    """kernels.cone_closure(k, words, budget) by cone_closure_naive on
+    per-id tables: the subword-minimal words by an all-pairs test, their
+    distinct suffixes numbered by numbering(count), a permutation of
+    range(count) that gives the id of each suffix in the order in which
+    the words list them, word by word from the longest, and their
+    dominators by `dominators_all_pairs`."""
+    ws = set(map(tuple, words))
+    if not ws:
+        return 1, [-1] * k, []
+    gens = [w for w in sorted(ws) if not any(v != w and is_subword(v, w) for v in ws)]
+    suffixes = list(dict.fromkeys(w[i:] for w in gens for i in range(len(w) + 1)))
+    sid = dict(zip(suffixes, numbering(len(suffixes))))
+    by_id = sorted(sid, key=sid.get)
+    nxt = [sid[s[1:]] if s and s[0] == a else sid[s] for s in by_id for a in range(k)]
+    return cone_closure_naive(len(by_id), k, nxt, sid[()], dominators_all_pairs(by_id),
+                              [sid[w] for w in gens], budget)
+
+
 def dominators_scan(by_id, sid):
-    """closures._dominators, testing every strictly shorter suffix that
+    """_kernels_py.dominators, testing every strictly shorter suffix that
     the tail's dominators do not already cover, one bit probe each."""
     order = sorted(range(len(by_id)), key=lambda i: len(by_id[i]))
     dom = [0] * len(by_id)

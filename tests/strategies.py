@@ -3,8 +3,6 @@
 from hypothesis import strategies as st
 
 from subwordkit import Dfa, Nfa, auto_alphabet
-from subwordkit.closures import _dominators
-from subwordkit.kernels import is_subword
 
 
 @st.composite
@@ -132,30 +130,18 @@ def copied_dfas(draw, max_core=12, max_copies=30):
 
 @st.composite
 def cone_inputs(draw):
-    """The arguments of kernels.cone_closure, budget left out, for a random
-    finite word set over 1 to 3 letters.
+    """The arguments of kernels.cone_closure, budget left out: k and a
+    finite language over k = 1 to 3 letters, as a list of letter tuples.
 
-    Words end in one of a few shared tails, so generators share suffixes.
-    The start is the set's subword-minimal words.  Suffix ids are numbered
-    word by word as closures._cone_dfa numbers them, so that most tails
-    have the next id, in reverse, so that none does, or shuffled.
+    Words end in one of a few shared tails, so that they share suffixes
+    and some embed into others.  Duplicates, the empty word and the empty
+    list occur.
     """
     k = draw(st.integers(1, 3))
     word = st.lists(st.integers(0, k - 1), max_size=5).map(tuple)
     tails = draw(st.lists(word, min_size=1, max_size=3))
     ends = st.tuples(word, st.sampled_from(tails)).map(lambda p: p[0] + p[1])
-    words = list(dict.fromkeys(draw(st.lists(ends, min_size=1, max_size=6))))
-    gens = [w for w in words if not any(v != w and is_subword(v, w) for v in words)]
-    sid = {}
-    for w in gens:
-        for i in range(len(w) + 1):
-            sid.setdefault(w[i:], len(sid))
-    order = draw(st.sampled_from(["words", "reversed", "shuffled"]))
-    if order == "reversed":
-        sid = {s: len(sid) - 1 - i for s, i in sid.items()}
-    elif order == "shuffled":
-        perm = draw(st.permutations(range(len(sid))))
-        sid = {s: perm[i] for s, i in sid.items()}
-    by_id = sorted(sid, key=sid.get)
-    nxt = [sid[s[1:]] if s and s[0] == a else sid[s] for s in by_id for a in range(k)]
-    return len(sid), k, nxt, sid[()], _dominators(by_id, sid), [sid[w] for w in gens]
+    words = draw(st.lists(ends, max_size=6))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=2))
+    return k, words

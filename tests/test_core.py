@@ -130,6 +130,25 @@ def test_strong_components_match_mutual_reachability(a):
     assert all(j < i for i, b in enumerate(below) for j in b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dags(max_states=90, back_edges=6), nfas(max_states=12)))
+def test_strong_components_enter_the_naive_components_below_them(a):
+    # below[i] lists each component that an edge from component i enters,
+    # by the naive components, once, and all of them come before i
+    comps, comp_of, below = strong_components(a)
+    naive = strong_components_naive(a)
+    of = {q: c for c in naive for q in c}
+    entered = {c: set() for c in naive}
+    for p, _, q in a.transitions:
+        if of[p] != of[q]:
+            entered[of[p]].add(of[q])
+    assert {frozenset(c) for c in comps} == naive
+    for i, b in enumerate(below):
+        assert all(j < i for j in b)
+        assert len(set(b)) == len(b)
+        assert {frozenset(comps[j]) for j in b} == entered[frozenset(comps[i])]
+
+
 def test_strong_components_of_a_long_path_need_no_recursion():
     n = 5000
     a = Nfa(auto_alphabet(2), n, {(i, i % 2, i + 1) for i in range(n - 1)}, {0}, {n - 1})

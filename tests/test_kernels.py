@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subwordkit import BudgetExceededError, Dfa, Nfa, SubstitutionSpec, Word, auto_alphabet
-from subwordkit import _kernels_py, closure_dfa, gen_family, kernels
-from subwordkit.closures import CONE_SUFFIX_CAP, _dominators, down_closure
+from subwordkit import _kernels_py, closure_dfa, determinize, gen_family, kernels, minimize
+from subwordkit.closures import CONE_SUFFIX_CAP, down_closure, up_closure
 from subwordkit.core import as_nfa, dfa_from_words
 from subwordkit.interiors import down_interior_spec, identity_substitution, up_interior_spec
 from subwordkit.kernels import maximal
 
-from oracles import cone_closure_naive, minimal_dfa_size
+from oracles import cone_closure_words_naive, minimal_dfa_size
 from strategies import copied_dfas, cone_inputs, dags, dfas, nfas, wide_nfas
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -42,31 +42,66 @@ def backends_agree(args, n, delta, finals):
             assert (e.value.what, e.value.budget) == ("closure antichain states", n - 1)
 
 
+def shuffled(rng):
+    """A suffix numbering (see oracles.cone_closure_words_naive) shuffled
+    by rng."""
+    def numbering(count):
+        ids = list(range(count))
+        rng.shuffle(ids)
+        return ids
+    return numbering
+
+
+def cone_oracles(k, words, rng):
+    """(n, delta, finals) of the cone of `words`, the same from the
+    member-by-member oracle with the suffixes numbered in word order,
+    reversed and shuffled, and from the powerset route on the NFA of the
+    words."""
+    numberings = (range, lambda count: range(count - 1, -1, -1), shuffled(rng))
+    results = {(n, tuple(delta), tuple(finals)) for n, delta, finals in (
+        cone_closure_words_naive(k, words, 1 << 20, numbering) for numbering in numberings)}
+    assert len(results) == 1
+    n, delta, finals = results.pop()
+    al = auto_alphabet(k)
+    generic = minimize(determinize(up_closure(dfa_from_words(al, [Word(al, w) for w in words]))))
+    assert (generic.n, tuple(generic.delta_flat()), tuple(sorted(generic.final))) == (
+        n, delta, finals)
+    return n, list(delta), list(finals)
+
+
 @settings(max_examples=300, deadline=None)
-@given(cone_inputs())
-def test_compiled_cone_matches_the_pure_one_and_the_oracle(args):
-    n, delta, finals = cone_closure_naive(*args, 1 << 20)
+@given(cone_inputs(), st.randoms(use_true_random=False))
+def test_compiled_cone_matches_the_pure_one_and_the_oracle(args, rng):
+    n, delta, finals = cone_oracles(*args, rng)
     backends_agree(args, n, delta, finals)
+
+
+@pytest.mark.parametrize("words", [
+    [(0, 1), (0, 1), (1,), (1,)],       # duplicates
+    [(), (0, 1, 0)],                   # the empty word: every word
+    [(0, 1, 0), (0,), (1, 1, 0, 1)],   # words that others embed into
+    [(1, 0), (0, 1, 1, 0), (1, 0)],
+    [],                                # the empty language
+], ids=["duplicates", "empty word", "embedded", "embedded duplicate", "no words"])
+def test_both_cones_keep_the_minimal_words_once(words):
+    n, delta, finals = cone_oracles(2, words, random.Random(0))
+    backends_agree((2, words), n, delta, finals)
 
 
 @settings(max_examples=3, deadline=None)
 @given(st.integers(1, 3), st.integers(CONE_SUFFIX_CAP - 64, CONE_SUFFIX_CAP - 1),
        st.integers(0, 2**32))
 def test_compiled_cone_on_one_word_near_the_suffix_cap(k, length, seed):
-    # 1985 to 2048 suffix ids: 32 words per state, with the ids shuffled
-    # so that heads, tails and drops fall in every word.
+    # 1985 to 2048 suffix ids: 32 words per state, so heads, tails and
+    # drops fall in every word.  The upward closure of one word w is read
+    # off w: state i has matched w's first i letters, moves on w[i] and
+    # loops on every other letter.
     rng = random.Random(seed)
     word = tuple(rng.randrange(k) for _ in range(length))
-    ids = list(range(len(word) + 1))
-    rng.shuffle(ids)
-    sid = {word[i:]: ids[i] for i in range(len(word) + 1)}
-    by_id = sorted(sid, key=sid.get)
-    nxt = [sid[s[1:]] if s and s[0] == a else sid[s] for s in by_id for a in range(k)]
-    args = (len(sid), k, nxt, sid[()], _dominators(by_id, sid), [sid[word]])
-    assert (len(sid) + 63) // 64 == 32
-    n, delta, finals = cone_closure_naive(*args, 1 << 20)
-    assert n == len(word) + 1
-    backends_agree(args, n, delta, finals)
+    assert (len(word) + 1 + 63) // 64 == 32
+    delta = [i + 1 if i < length and a == word[i] else i
+             for i in range(length + 1) for a in range(k)]
+    backends_agree((k, [word]), length + 1, delta, [length])
 
 
 def cone_args(a):
@@ -106,17 +141,14 @@ def test_compiled_cone_across_table_growths_and_batches(make):
     backends_agree(args, n, list(delta), finals)
 
 
-def test_compiled_cone_refuses_ids_out_of_range_and_short_tables():
-    # both backends, through the checks of the tables they share
-    args = cone_args(dfa_from_words(auto_alphabet(1), [Word(auto_alphabet(1), (0,))]))
-    num, k, nxt, eps, dom, start = args
+def test_both_cone_backends_refuse_a_letter_outside_the_alphabet():
+    error = "cone_closure: a letter outside \\[0, k\\)"
     for mod in (_native, _kernels_py):
-        assert mod.cone_closure(*args, 10)[0] == 2
-        for bad in ((num, k, nxt, 10**7, dom, start), (num, k, [-1, *nxt[1:]], eps, dom, start),
-                    (num, k, nxt, eps, dom, [num]), (num, k, nxt[1:], eps, dom, start),
-                    (num, k, nxt, eps, dom[1:], start)):
-            with pytest.raises(ValueError, match="cone_closure"):
-                mod.cone_closure(*bad, 10)
+        assert mod.cone_closure(2, [(0, 1)], 10)[0] == 3
+        for k, words in ((2, [(0, 2)]), (2, [(1,), (-1,)]), (2, [(0,), (2**40,)]),
+                         (0, [(0,)]), (-1, [()]), (-1, [])):
+            with pytest.raises(ValueError, match=error):
+                mod.cone_closure(k, words, 10)
 
 
 def subset_backends_agree(a, reduced, budget=1 << 20):
