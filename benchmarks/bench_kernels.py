@@ -4,21 +4,28 @@ Each `workload_*(rng)` builds one kernel's flat inputs and returns
 (name, description, run), where run(module) calls that kernel of the given
 kernel module; the best of --repeat runs is printed for each pure kernel.
 The kernels with a compiled form (the cone, subset construction, the
-interiors' antichain search and minimisation) get a second column for
-`_native` when that loads (a C compiler is on the PATH).
+interiors' antichain search and minimisation) and closure_dfa's front end
+get a second column for `_native` when that loads (a C compiler is on the
+PATH).
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --repeat 5 --seed 1
 """
 
 import argparse
+import os
 import random
+import sys
 import time
 
 from subwordkit import DEFAULT_BUDGET, decisions, down_closure, gen_family, up_closure
 from subwordkit import _kernels_py
 from subwordkit.experiments import random_nfa
 from subwordkit.interiors import down_interior_spec, up_interior_spec
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+from twins import compiled_front, pure_front  # noqa: E402  (the front end and its twin)
 
 
 def bench(fn, repeat):
@@ -107,6 +114,21 @@ def workload_antichain(rng):
     return "antichain_preimage", "downIntWitness(9) down, upIntW(10) up", run
 
 
+def workload_front(rng):
+    # closure_dfa's front end on three families ops: the strong components,
+    # then the finite language's words for the cone or the closure NFA's
+    # rows for the subset construction, read back as Python values.  A
+    # module without the compiled front end runs the pure composition.
+    cases = [(gen_family("U", 6), False), (gen_family("V", 6), True),
+             (gen_family("heam", 10), True)]
+
+    def run(mod):
+        front = compiled_front if hasattr(mod, "closure_front") else pure_front
+        return [front(a, up) for a, up in cases]
+
+    return "closure_front", "U(6) down, V(6) up, heam(10) up", run
+
+
 def workload_product_search(rng):
     # Seeded closure pairs through the product search, which steps both
     # sides by `rows` from the package's kernel layer, whatever module is
@@ -146,7 +168,7 @@ def main():
     print(head)
     print("-" * len(head))
     for make in (workload_is_subword, workload_subset, workload_minimize,
-                 workload_cone, workload_antichain, workload_product_search):
+                 workload_cone, workload_antichain, workload_front, workload_product_search):
         name, desc, run = make(random.Random(args.seed))
         compiled = getattr(_native, name, None)
         mods = [_kernels_py]

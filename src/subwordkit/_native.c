@@ -1,11 +1,12 @@
 /* The compiled kernels of subwordkit._native: the cone closure, subset
  * construction, the antichain search of the interiors and Hopcroft
  * minimisation of _kernels_py, with the same numbering, budget rule and
- * results.  The cone takes its finite language as words (one array of
- * letters and their offsets) and builds its own tables, `cone_tables`,
- * before the BFS: the subword-minimal words, their suffixes numbered by
- * (tail id, head letter) in a state_set, and the dominators by the
- * suffix recurrence.
+ * results, and the front end of closures.closure_dfa in front of them
+ * (see "front end" below).  The cone takes its finite language as words
+ * (one array of letters and their offsets) and builds its own tables,
+ * `cone_tables`, before the BFS: the subword-minimal words, their
+ * suffixes numbered by (tail id, head letter) in a state_set, and the
+ * dominators by the suffix recurrence.
  *
  * A set of ids is a bitset of uint64 words, bit s of word s / 64 for id
  * s.  A cone state, an antichain of suffix ids, has the fixed width
@@ -631,15 +632,26 @@ out:
     return rc;
 }
 
-/* Whether each of the `count` runs of `words` (offsets off[0..count])
- * fits in ceil(n / 64) words and names no id of n or above. */
-static int runs_below(const int64_t *off, int64_t count, const uint64_t *words, int32_t n)
+/* The rows of an NFA's successor table, n * k runs: row q * k + a, the
+ * a-successors of state q, is words[off[r] .. end[r]).  A table whose
+ * runs lie end to end passes its offsets as off and, one further on, as
+ * end; the front end's down-closure rows pass one run per component for
+ * all its members. */
+typedef struct {
+    const uint64_t *words;
+    const int64_t *off, *end;
+} rows_t;
+
+/* Whether each of the `count` runs of `words` (run r from off[r] to
+ * end[r]) fits in ceil(n / 64) words and names no id of n or above. */
+static int runs_below(const int64_t *off, const int64_t *end, int64_t count,
+                      const uint64_t *words, int64_t n)
 {
     int64_t w = (n + 63) / 64;
     uint64_t over = n % 64 ? ~(uint64_t)0 << (n % 64) : 0;
     for (int64_t r = 0; r < count; r++) {
-        int64_t len = off[r + 1] - off[r];
-        if (len > w || (len == w && len && words[off[r + 1] - 1] & over))
+        int64_t len = end[r] - off[r];
+        if (len < 0 || len > w || (len == w && len && words[end[r] - 1] & over))
             return 0;
     }
     return 1;
@@ -647,18 +659,17 @@ static int runs_below(const int64_t *off, int64_t count, const uint64_t *words, 
 
 /* OR into acc + a * w, for each letter a, the rows of the members of the
  * run x (len words), and raise acc_len[a] to the longest row's length.
- * Row q * k + a is rows[row_off[r] .. row_off[r + 1]); the longest row
- * has a nonzero top word, so each OR is trimmed at acc_len[a]. */
-static void or_rows(const uint64_t *x, int64_t len, const uint64_t *rows,
-                    const int64_t *row_off, int64_t k, int64_t w, uint64_t *acc,
-                    int64_t *acc_len)
+ * The longest row has a nonzero top word, so each OR is trimmed at
+ * acc_len[a]. */
+static void or_rows(const uint64_t *x, int64_t len, const rows_t *rows, int64_t k, int64_t w,
+                    uint64_t *acc, int64_t *acc_len)
 {
     for (int64_t j = 0; j < len; j++) {
         for (uint64_t m = x[j]; m; m &= m - 1) {
             int64_t base = (j * 64 + __builtin_ctzll(m)) * k;
             for (int64_t a = 0; a < k; a++) {
-                const uint64_t *row = rows + row_off[base + a];
-                int64_t rl = row_off[base + a + 1] - row_off[base + a];
+                const uint64_t *row = rows->words + rows->off[base + a];
+                int64_t rl = rows->end[base + a] - rows->off[base + a];
                 uint64_t *y = acc + a * w;
                 for (int64_t i = 0; i < rl; i++)
                     y[i] |= row[i];
@@ -672,8 +683,7 @@ static void or_rows(const uint64_t *x, int64_t len, const uint64_t *rows,
 /* _kernels_py.maximal of the run x (len words) into out, which must be
  * zero; x is cleared.  Keep the lowest member, clear its reach (its own
  * bit and its k rows), repeat.  Returns the length of the run in out. */
-static int64_t maximal(uint64_t *x, int64_t len, const uint64_t *rows, const int64_t *row_off,
-                       int64_t k, uint64_t *out)
+static int64_t maximal(uint64_t *x, int64_t len, const rows_t *rows, int64_t k, uint64_t *out)
 {
     int64_t top = 0;
     for (int64_t j = 0; j < len; j++) {
@@ -684,8 +694,8 @@ static int64_t maximal(uint64_t *x, int64_t len, const uint64_t *rows, const int
             top = j + 1;
             x[j] ^= low;
             for (int64_t a = 0; a < k; a++) {
-                const uint64_t *row = rows + row_off[base + a];
-                int64_t end = row_off[base + a + 1] - row_off[base + a];
+                const uint64_t *row = rows->words + rows->off[base + a];
+                int64_t end = rows->end[base + a] - rows->off[base + a];
                 if (end > len)
                     end = len;
                 for (int64_t y = j; y < end; y++)
@@ -701,8 +711,7 @@ static int64_t maximal(uint64_t *x, int64_t len, const uint64_t *rows, const int
  * `maximal` part when `reduced` is set; the empty target is missing. */
 typedef struct {
     int64_t k, w;
-    const uint64_t *rows;
-    const int64_t *row_off;
+    rows_t rows;
     int32_t reduced;
     uint64_t *acc;      /* k ORs of w words */
     uint64_t *red;      /* k reduced ones */
@@ -722,12 +731,12 @@ static int subset_step(void *p, const state_set *s, int64_t i, const uint64_t **
     }
     int64_t len;
     const uint64_t *st = state(s, i, &len);
-    or_rows(st, len, c->rows, c->row_off, k, w, c->acc, c->acc_len);
+    or_rows(st, len, &c->rows, k, w, c->acc, c->acc_len);
     for (int64_t a = 0; a < k; a++) {
         uint64_t *x = c->acc + a * w;
         int64_t xl = c->acc_len[a];
         if (c->reduced && xl) {
-            xl = maximal(x, xl, c->rows, c->row_off, k, c->red + a * w);
+            xl = maximal(x, xl, &c->rows, k, c->red + a * w);
             x = c->red + a * w;
         }
         runs[a] = x;
@@ -736,35 +745,61 @@ static int subset_step(void *p, const state_set *s, int64_t i, const uint64_t **
     return NATIVE_OK;
 }
 
+/* Whether the runs x (xlen words) and y (ylen words) share a member. */
+static int meets(const uint64_t *x, int64_t xlen, const uint64_t *y, int64_t ylen)
+{
+    for (int64_t i = 0; i < xlen && i < ylen; i++)
+        if (x[i] & y[i])
+            return 1;
+    return 0;
+}
+
 /* The powerset construction of _kernels_py.subset_construction, on
- * subset_step.  Row q * k + a, the a-successors of NFA state q, is the
- * run rows[row_off[r] .. row_off[r + 1]); init is a nonzero run.  On
- * NATIVE_OK, *delta_out holds *count_out * k targets, -1 for the empty
- * subset, and subset j is the run (*words_out)[(*off_out)[j] ..
- * (*off_out)[j + 1]). */
-int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_t *row_off,
-                        const uint64_t *init, int64_t init_len, int32_t reduced, int64_t budget,
+ * subset_step, over the n * k rows `words`, row_off and row_end (see
+ * rows_t); init is a nonzero run.  On NATIVE_OK, *delta_out holds
+ * *count_out * k targets, -1 for the empty subset, and subset j is the
+ * run (*words_out)[(*off_out)[j] .. (*off_out)[j + 1]).  When fin, a run
+ * of fin_len words, is given, *finals_out lists the *nfinals_out subsets
+ * that meet it, ascending; otherwise neither is written. */
+int subset_construction(int32_t n, int32_t k, const uint64_t *words, const int64_t *row_off,
+                        const int64_t *row_end, const uint64_t *init, int64_t init_len,
+                        int32_t reduced, int64_t budget, const uint64_t *fin, int64_t fin_len,
                         int32_t **delta_out, uint64_t **words_out, int64_t **off_out,
-                        int64_t *count_out)
+                        int64_t *count_out, int32_t **finals_out, int64_t *nfinals_out)
 {
     int64_t w = (n + 63) / 64;
-    int64_t init_off[2] = {0, init_len};
+    int64_t init_off[2] = {0, init_len}, fin_off[2] = {0, fin_len};
     state_set s;
     int rc = set_init(&s, k, 0, 1024);
     uint64_t *acc = calloc(2 * k * w + 1, sizeof *acc);  /* k ORs and k reduced ones */
     int64_t *acc_len = calloc(k + 1, sizeof *acc_len);
-    subset_ctx c = {k, w, rows, row_off, reduced, acc, acc + k * w, acc_len};
+    int32_t *finals = NULL;
+    subset_ctx c = {k, w, {words, row_off, row_end}, reduced, acc, acc + k * w, acc_len};
     if (rc != NATIVE_OK || !acc || !acc_len) {
         rc = NATIVE_NOMEM;
         goto out;
     }
-    if (!runs_below(row_off, (int64_t)n * k, rows, n) || !runs_below(init_off, 1, init, n)
-        || !init_len || !init[init_len - 1]) {
+    if (!runs_below(row_off, row_end, (int64_t)n * k, words, n)
+        || !runs_below(init_off, init_off + 1, 1, init, n) || !init_len || !init[init_len - 1]
+        || (fin && !runs_below(fin_off, fin_off + 1, 1, fin, n))) {
         rc = NATIVE_BADINPUT;
         goto out;
     }
     if ((rc = explore(&s, init, init_len, budget, subset_step, &c)) != NATIVE_OK)
         goto out;
+    if (fin) {
+        int64_t nf = 0;
+        if (!(finals = malloc((s.count + 1) * sizeof *finals))) {
+            rc = NATIVE_NOMEM;
+            goto out;
+        }
+        for (int64_t j = 0; j < s.count; j++)
+            if (meets(s.words + s.off[j], s.off[j + 1] - s.off[j], fin, fin_len))
+                finals[nf++] = (int32_t)j;
+        *finals_out = finals;
+        *nfinals_out = nf;
+        finals = NULL;
+    }
     *count_out = s.count;
     *delta_out = s.delta;
     *words_out = s.words;
@@ -775,6 +810,7 @@ int subset_construction(int32_t n, int32_t k, const uint64_t *rows, const int64_
 out:
     free(acc);
     free(acc_len);
+    free(finals);
     set_free(&s);
     return rc;
 }
@@ -806,8 +842,7 @@ typedef struct {
 
 typedef struct {
     int64_t k, m, w;            /* the NFA's letters, the target letters, words per mask */
-    const uint64_t *rows;
-    const int64_t *row_off;
+    rows_t rows;
     const uint64_t *fin;
     int64_t fin_len;
     const uint64_t *ksucc;      /* K_j's row q * k + x is ksucc[kbase[j] + q * k + x] */
@@ -872,7 +907,7 @@ static int mask_rows(anti_ctx *c, int64_t id)
         return NATIVE_OK;
     int64_t k = c->k, len;
     const uint64_t *x = state(&c->masks, id, &len);
-    or_rows(x, len, c->rows, c->row_off, k, c->w, c->acc, c->acc_len);
+    or_rows(x, len, &c->rows, k, c->w, c->acc, c->acc_len);
     /* x is not read again: numbering the rows may move the pool */
     int rc = NATIVE_OK;
     for (int64_t a = 0; a < k; a++) {
@@ -1048,8 +1083,8 @@ static int antichain_step(void *p, const state_set *s, int64_t i, const uint64_t
 
 /* The antichain search of _kernels_py.antichain_preimage, on
  * antichain_step: the preimage DFA over m target letters of the NFA
- * (n states, k letters, rows and row_off as in subset_construction, the
- * runs init and fin) under the substitution of K_j for target letter j,
+ * (n states, k letters, row r being rows[row_off[r] .. row_off[r + 1]),
+ * the runs init and fin) under the substitution of K_j for target letter j,
  * K_0 for the empty word.  K_j has kn[j] <= 64 states, its rows in
  * ksucc from kbase[j] = k * (kn[0] + ... + kn[j - 1]) on, the masks
  * kinit[j] and kfin[j].  On NATIVE_OK, *delta_out holds *count_out * m
@@ -1065,7 +1100,7 @@ int antichain_preimage(int32_t n, int32_t k, const uint64_t *rows, const int64_t
     int64_t w = (n + 63) / 64;
     int64_t init_off[2] = {0, init_len}, fin_off[2] = {0, fin_len};
     state_set s;
-    anti_ctx c = {.k = k, .m = m, .w = w, .rows = rows, .row_off = row_off, .fin = fin,
+    anti_ctx c = {.k = k, .m = m, .w = w, .rows = {rows, row_off, row_off + 1}, .fin = fin,
                   .fin_len = fin_len, .ksucc = ksucc, .kinit = kinit, .kfin = kfin};
     int32_t *finals = NULL;
     int rc = set_init(&s, m, 0, 1024);
@@ -1085,8 +1120,9 @@ int antichain_preimage(int32_t n, int32_t k, const uint64_t *rows, const int64_t
         goto out;
     }
     rc = NATIVE_BADINPUT;
-    if (!runs_below(row_off, (int64_t)n * k, rows, n) || !runs_below(init_off, 1, init, n)
-        || !runs_below(fin_off, 1, fin, n))
+    if (!runs_below(row_off, row_off + 1, (int64_t)n * k, rows, n)
+        || !runs_below(init_off, init_off + 1, 1, init, n)
+        || !runs_below(fin_off, fin_off + 1, 1, fin, n))
         goto out;
     int64_t base = 0;
     for (int64_t j = 0; j <= m; j++) {
@@ -1369,6 +1405,801 @@ out:
     free(renum);
     free(out);
     free(fout);
+    return rc;
+}
+
+/* ------------------------------------------------------------ front end
+ *
+ * What closures.closure_dfa does before the closure kernels, in one
+ * call: `closure_front` reads an automaton's successor table, finds its
+ * strongly connected components as core.strong_components does, and
+ * prepares one closure from them: for an up-closure of a finite language
+ * the words of the language, which the cone takes, and otherwise the up-
+ * or down-closure NFA's rows, its initial and final sets, which the
+ * subset construction takes.  `strong_components` finds the same
+ * components for a caller that reads them in Python. */
+
+/* An automaton's successor table: n states, k letters, and either a DFA's
+ * n * k targets, -1 for none, or an NFA's n * k rows: row r, the
+ * successors of state r / k on letter r % k, is the run words[off[r] ..
+ * end[r]), or the one word words[r] when off is NULL (n <= 64). */
+typedef struct {
+    int64_t n, k;
+    const int32_t *dfa;
+    const uint64_t *words;
+    const int64_t *off, *end;
+} table;
+
+/* Whether every target of t is a state of t. */
+static int table_ok(const table *t)
+{
+    int64_t cells = t->n * t->k;
+    if (t->dfa) {
+        for (int64_t i = 0; i < cells; i++)
+            if (t->dfa[i] < -1 || t->dfa[i] >= t->n)
+                return 0;
+        return 1;
+    }
+    if (t->off)
+        return runs_below(t->off, t->end, cells, t->words, t->n);
+    if (t->n > 64)
+        return 0;
+    uint64_t over = t->n % 64 ? ~(uint64_t)0 << (t->n % 64) : 0;
+    for (int64_t i = 0; i < cells; i++)
+        if (t->words[i] & over)
+            return 0;
+    return 1;
+}
+
+/* Row r of an NFA table: its words, *len of them. */
+static const uint64_t *table_row(const table *t, int64_t r, int64_t *len)
+{
+    if (!t->off) {
+        *len = 1;
+        return t->words + r;
+    }
+    *len = t->end[r] - t->off[r];
+    return t->words + t->off[r];
+}
+
+/* OR into acc the targets of row r of t, target q as bit pos[q] (bit q
+ * when pos is NULL), and raise *acc_len to the words in use. */
+static void or_targets(const table *t, int64_t r, const int32_t *pos, uint64_t *acc,
+                       int64_t *acc_len)
+{
+    if (t->dfa) {
+        int64_t q = t->dfa[r];
+        if (q < 0)
+            return;
+        q = pos ? pos[q] : q;
+        acc[q / 64] |= (uint64_t)1 << (q % 64);
+        if (q / 64 + 1 > *acc_len)
+            *acc_len = q / 64 + 1;
+        return;
+    }
+    int64_t len;
+    const uint64_t *run = table_row(t, r, &len);
+    for (int64_t j = 0; j < len; j++) {
+        if (!run[j])
+            continue;
+        if (!pos) {
+            acc[j] |= run[j];
+            if (j + 1 > *acc_len)
+                *acc_len = j + 1;
+            continue;
+        }
+        for (uint64_t m = run[j]; m; m &= m - 1) {
+            int64_t q = pos[j * 64 + __builtin_ctzll(m)];
+            acc[q / 64] |= (uint64_t)1 << (q % 64);
+            if (q / 64 + 1 > *acc_len)
+                *acc_len = q / 64 + 1;
+        }
+    }
+}
+
+/* Append the members of acc (*acc_len words) to *out (at *used, room for
+ * *cap), ascending, and clear acc. */
+static int drain_bits(uint64_t *acc, int64_t *acc_len, int32_t **out, int64_t *used,
+                      int64_t *cap)
+{
+    int64_t count = 0;
+    for (int64_t j = 0; j < *acc_len; j++)
+        count += __builtin_popcountll(acc[j]);
+    int32_t *o = reserve(*out, cap, *used + count, sizeof *o);
+    if (!o)
+        return NATIVE_NOMEM;
+    *out = o;
+    for (int64_t j = 0; j < *acc_len; j++) {
+        for (uint64_t m = acc[j]; m; m &= m - 1)
+            o[(*used)++] = (int32_t)(j * 64 + __builtin_ctzll(m));
+        acc[j] = 0;
+    }
+    *acc_len = 0;
+    return NATIVE_OK;
+}
+
+/* Sort the n ids of x ascending: by insertion when there are few. */
+static void sort_ids(int32_t *x, int64_t n)
+{
+    if (n > 16) {
+        qsort(x, n, sizeof *x, cmp_i32);
+        return;
+    }
+    for (int64_t i = 1; i < n; i++) {
+        int32_t v = x[i];
+        int64_t j = i;
+        for (; j > 0 && x[j - 1] > v; j--)
+            x[j] = x[j - 1];
+        x[j] = v;
+    }
+}
+
+/* The components of core.strong_components, and the table they were
+ * found in.  Component c lists members[comp_off[c] .. comp_off[c + 1]),
+ * in the order Tarjan's stack gives them up, and enters the components
+ * below[below_off[c] .. below_off[c + 1]), ascending; components come in
+ * reverse topological order.  adj[adj_off[q] .. adj_off[q + 1]) are the
+ * distinct successors of state q on any letter, ascending. */
+typedef struct {
+    table t;
+    int64_t ncomps, nbelow;
+    int32_t *comp_of, *members, *below, *adj;
+    int64_t *comp_off, *below_off, *adj_off;
+} components;
+
+static void components_free(components *c)
+{
+    if (!c)
+        return;
+    free(c->comp_of);
+    free(c->members);
+    free(c->below);
+    free(c->adj);
+    free(c->comp_off);
+    free(c->below_off);
+    free(c->adj_off);
+    free(c);
+}
+
+/* Fill c->adj and c->adj_off from c->t. */
+static int adjacency(components *c)
+{
+    const table *t = &c->t;
+    int64_t n = t->n, k = t->k, used = 0, cap = n + 16;
+    int rc = NATIVE_NOMEM;
+    int32_t *seen = NULL;
+    uint64_t *acc = NULL;
+    c->adj_off = malloc((n + 1) * sizeof *c->adj_off);
+    c->adj = malloc(cap * sizeof *c->adj);
+    if (!c->adj_off || !c->adj)
+        return rc;
+    c->adj_off[0] = 0;
+    if (t->dfa) {
+        /* at most k targets a state: marked once each by `seen` */
+        if (!(seen = malloc((n + 1) * sizeof *seen)))
+            goto out;
+        for (int64_t q = 0; q < n; q++)
+            seen[q] = -1;
+        for (int64_t q = 0; q < n; q++) {
+            int32_t *adj = reserve(c->adj, &cap, used + k, sizeof *adj);
+            if (!adj)
+                goto out;
+            c->adj = adj;
+            int64_t first = used;
+            for (int64_t a = 0; a < k; a++) {
+                int32_t r = t->dfa[q * k + a];
+                if (r >= 0 && seen[r] != q) {
+                    seen[r] = (int32_t)q;
+                    adj[used++] = r;
+                }
+            }
+            sort_ids(adj + first, used - first);
+            c->adj_off[q + 1] = used;
+        }
+    } else {
+        int64_t acc_len = 0;
+        if (!(acc = calloc((n + 63) / 64 + 1, sizeof *acc)))
+            goto out;
+        for (int64_t q = 0; q < n; q++) {
+            for (int64_t a = 0; a < k; a++)
+                or_targets(t, q * k + a, NULL, acc, &acc_len);
+            if (drain_bits(acc, &acc_len, &c->adj, &used, &cap) != NATIVE_OK)
+                goto out;
+            c->adj_off[q + 1] = used;
+        }
+    }
+    rc = NATIVE_OK;
+out:
+    free(seen);
+    free(acc);
+    return rc;
+}
+
+/* A state that Tarjan's search will return to: the edge of it to take
+ * next, and its low link. */
+typedef struct {
+    int64_t v, e, low;
+} frame;
+
+/* The strongly connected components of the table t, letters ignored,
+ * exactly as core.strong_components finds them: roots in ascending order,
+ * each state's edges lowest target first.  On NATIVE_OK, *out holds them,
+ * to be released with components_free; NATIVE_BADINPUT for a target out
+ * of range. */
+static int find_components(const table *t, components **out)
+{
+    components *c = calloc(1, sizeof *c);
+    int32_t *index = NULL, *stack = NULL, *stamp = NULL;
+    frame *path = NULL;
+    int64_t n = t->n;
+    int rc = NATIVE_NOMEM;
+    if (!c)
+        return rc;
+    c->t = *t;
+    if (n < 0 || t->k < 0 || !table_ok(t)) {
+        rc = NATIVE_BADINPUT;
+        goto out;
+    }
+    int64_t bcap = n + 16, nb = 0, nm = 0, nc = 0, sp = 0, counter = 0;
+    c->comp_of = malloc((n + 1) * sizeof *c->comp_of);
+    c->members = malloc((n + 1) * sizeof *c->members);
+    c->comp_off = malloc((n + 1) * sizeof *c->comp_off);
+    c->below_off = malloc((n + 1) * sizeof *c->below_off);
+    c->below = malloc(bcap * sizeof *c->below);
+    index = malloc((n + 1) * sizeof *index);
+    stack = malloc((n + 1) * sizeof *stack);
+    stamp = malloc((n + 1) * sizeof *stamp);
+    path = malloc((n + 1) * sizeof *path);
+    if (!c->comp_of || !c->members || !c->comp_off || !c->below_off || !c->below || !index
+        || !stack || !stamp || !path || adjacency(c) != NATIVE_OK)
+        goto out;
+    for (int64_t q = 0; q < n; q++)
+        index[q] = c->comp_of[q] = stamp[q] = -1;
+    c->comp_off[0] = c->below_off[0] = 0;
+    for (int64_t root = 0; root < n; root++) {
+        if (index[root] >= 0)
+            continue;
+        int64_t v = root, e = c->adj_off[v], low = counter, depth = 0;
+        index[v] = (int32_t)counter++;
+        stack[sp++] = (int32_t)v;
+        for (;;) {
+            while (e < c->adj_off[v + 1]) {
+                int32_t w = c->adj[e++];
+                if (index[w] < 0) {
+                    path[depth++] = (frame){v, e, low};
+                    v = w;
+                    e = c->adj_off[v];
+                    index[v] = (int32_t)(low = counter++);
+                    stack[sp++] = w;
+                } else if (index[w] < low && c->comp_of[w] < 0) {
+                    low = index[w];
+                }
+            }
+            if (low == index[v]) {
+                int64_t first = nm, w;
+                do {
+                    w = stack[--sp];
+                    c->comp_of[w] = (int32_t)nc;
+                    c->members[nm++] = (int32_t)w;
+                } while (w != v);
+                int64_t from = nb;
+                for (int64_t i = first; i < nm; i++) {
+                    int64_t q = c->members[i];
+                    for (int64_t j = c->adj_off[q]; j < c->adj_off[q + 1]; j++) {
+                        int32_t d = c->comp_of[c->adj[j]];
+                        if (d == nc || stamp[d] == nc)
+                            continue;
+                        stamp[d] = (int32_t)nc;
+                        int32_t *below = reserve(c->below, &bcap, nb + 1, sizeof *below);
+                        if (!below)
+                            goto out;
+                        c->below = below;
+                        below[nb++] = d;
+                    }
+                }
+                sort_ids(c->below + from, nb - from);
+                nc++;
+                c->comp_off[nc] = nm;
+                c->below_off[nc] = nb;
+            }
+            if (!depth)
+                break;
+            frame f = path[--depth];
+            v = f.v;
+            e = f.e;
+            if (f.low < low)
+                low = f.low;
+        }
+    }
+    c->ncomps = nc;
+    c->nbelow = nb;
+    *out = c;
+    c = NULL;
+    rc = NATIVE_OK;
+out:
+    components_free(c);
+    free(index);
+    free(stack);
+    free(stamp);
+    free(path);
+    return rc;
+}
+
+/* The strong components of the table (n, k, dfa or words, off and end:
+ * see `table`) as Python reads them: on NATIVE_OK, *out holds *len items,
+ * ncomps, nbelow, then comp_of, members, comp_off, below_off and below,
+ * one after the other.  NATIVE_BADINPUT for a target out of range. */
+int strong_components(int32_t n, int32_t k, const int32_t *dfa, const uint64_t *words,
+                      const int64_t *off, const int64_t *end, int64_t **out, int64_t *len)
+{
+    table t = {n, k, dfa, words, off, end};
+    components *c = NULL;
+    int rc = find_components(&t, &c);
+    if (rc != NATIVE_OK)
+        return rc;
+    int64_t m = c->ncomps, *x = malloc((2 + 2 * (int64_t)n + 2 * (m + 1) + c->nbelow) * sizeof *x);
+    if (!x) {
+        components_free(c);
+        return NATIVE_NOMEM;
+    }
+    *out = x;
+    *len = 2 + 2 * (int64_t)n + 2 * (m + 1) + c->nbelow;
+    *x++ = m;
+    *x++ = c->nbelow;
+    for (int64_t q = 0; q < n; q++) {
+        x[q] = c->comp_of[q];
+        x[n + q] = c->members[q];
+    }
+    x += 2 * (int64_t)n;
+    for (int64_t i = 0; i <= m; i++) {
+        x[i] = c->comp_off[i];
+        x[m + 1 + i] = c->below_off[i];
+    }
+    x += 2 * (m + 1);
+    for (int64_t i = 0; i < c->nbelow; i++)
+        x[i] = c->below[i];
+    components_free(c);
+    return NATIVE_OK;
+}
+
+/* What closure_front prepares.  For the cone, nwords >= 0 words, in the
+ * order of Python's tuples, word i being letters[word_off[i] ..
+ * word_off[i + 1]).  For the subset construction, nwords is -1 and the
+ * closure NFA is n states: its rows (see rows_t; rows of one component
+ * may share a run), its initial set, reduced already when `reduced` is
+ * set, and its final set, as runs. */
+typedef struct {
+    int64_t nwords;
+    int32_t *letters;
+    int64_t *word_off;
+    int64_t reduced;
+    uint64_t *words;
+    int64_t *row_off, *row_end;
+    uint64_t *init, *fin;
+    int64_t init_len, fin_len;
+} front;
+
+void front_free(front *f)
+{
+    if (!f)
+        return;
+    free(f->letters);
+    free(f->word_off);
+    free(f->words);
+    free(f->row_off);
+    free(f->row_end);
+    free(f->init);
+    free(f->fin);
+    free(f);
+}
+
+/* The members of the `count` states `ids`, state q as bit pos[q] (q when
+ * pos is NULL), as a run of n-state sets: written to *run, its length to
+ * *len. */
+static int run_of(const int32_t *ids, int64_t count, const int32_t *pos, int64_t n,
+                  uint64_t **run, int64_t *len)
+{
+    uint64_t *x = calloc((n + 63) / 64 + 1, sizeof *x);
+    if (!x)
+        return NATIVE_NOMEM;
+    int64_t top = 0;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t q = pos ? pos[ids[i]] : ids[i];
+        x[q / 64] |= (uint64_t)1 << (q % 64);
+        if (q / 64 + 1 > top)
+            top = q / 64 + 1;
+    }
+    *run = x;
+    *len = top;
+    return NATIVE_OK;
+}
+
+/* A growing pool of runs. */
+typedef struct {
+    uint64_t *words;
+    int64_t used, cap;
+} pool;
+
+/* Append the run acc (len words, trimmed of zero high words) to p, clear
+ * acc, and give its place as [*off, *end). */
+static int pool_add(pool *p, uint64_t *acc, int64_t len, int64_t *off, int64_t *end)
+{
+    while (len && !acc[len - 1])
+        len--;
+    uint64_t *words = reserve(p->words, &p->cap, p->used + len, sizeof *words);
+    if (!words)
+        return NATIVE_NOMEM;
+    p->words = words;
+    memcpy(words + p->used, acc, len * sizeof *acc);
+    memset(acc, 0, len * sizeof *acc);
+    *off = p->used;
+    *end = p->used += len;
+    return NATIVE_OK;
+}
+
+/* The words of the finite language of the table, given its useful
+ * states (reachable and co-reachable, each a component of its own with
+ * no self-loop, so that they form a DAG) and the final ones: into f, in
+ * the order of Python's sorted tuples, as closures._finite_language
+ * lists them.  The search runs from each useful initial state along the
+ * useful states only; *found is 0 when it takes more than step_cap steps
+ * (a step per path), finds more than word_cap distinct words, or their
+ * suffixes (a word's length + 1) total more than suffix_cap. */
+typedef struct {
+    int64_t q, e;
+} dfs_frame;
+
+static int finite_words(const table *t, const char *useful, const char *final,
+                        const int32_t *initial, int64_t ninitial, int64_t word_cap,
+                        int64_t suffix_cap, int64_t step_cap, front *f, int *found)
+{
+    int64_t n = t->n, k = t->k, used = 0, cap = 64, acc_len = 0;
+    int rc = NATIVE_NOMEM;
+    int64_t *eoff = malloc((n + 1) * sizeof *eoff), *order = NULL;
+    int32_t *edges = malloc(cap * sizeof *edges);  /* (letter, target) pairs */
+    uint64_t *acc = calloc((n + 63) / 64 + 1, sizeof *acc), *path = NULL;
+    int32_t *targets = NULL;
+    int64_t tused = 0, tcap = 64;
+    dfs_frame *stack = malloc((n + 1) * sizeof *stack);
+    state_set set;
+    int set_rc = set_init(&set, 0, 0, 64);
+    *found = 0;
+    path = malloc((n + 1) * sizeof *path);
+    targets = malloc(tcap * sizeof *targets);
+    if (!eoff || !edges || !acc || !stack || !path || !targets || set_rc != NATIVE_OK)
+        goto out;
+    /* each useful state's (letter, useful target) edges, in letter order */
+    eoff[0] = 0;
+    for (int64_t q = 0; q < n; q++) {
+        if (useful[q]) {
+            for (int64_t a = 0; a < k; a++) {
+                tused = 0;
+                or_targets(t, q * k + a, NULL, acc, &acc_len);
+                if (drain_bits(acc, &acc_len, &targets, &tused, &tcap) != NATIVE_OK)
+                    goto out;
+                for (int64_t i = 0; i < tused; i++) {
+                    if (!useful[targets[i]])
+                        continue;
+                    int32_t *e = reserve(edges, &cap, used + 2, sizeof *e);
+                    if (!e)
+                        goto out;
+                    edges = e;
+                    edges[used++] = (int32_t)a;
+                    edges[used++] = targets[i];
+                }
+            }
+        }
+        eoff[q + 1] = used;
+    }
+    int64_t steps = 0;
+    for (int64_t i = 0; i < ninitial; i++) {
+        int64_t q = initial[i], depth = 0;
+        if (!useful[q])
+            continue;
+        stack[0] = (dfs_frame){q, eoff[q]};
+        for (;;) {
+            if (++steps > step_cap) {
+                rc = NATIVE_OK;
+                goto out;
+            }
+            if (final[stack[depth].q]) {
+                int r = NATIVE_OK;
+                if (number(&set, path, depth, hash_words(path, depth), word_cap, &r) < 0) {
+                    if (r != NATIVE_BUDGET)
+                        goto out;
+                    rc = NATIVE_OK;
+                    goto out;
+                }
+            }
+            /* the next edge to take, backing up past exhausted states */
+            while (depth >= 0 && stack[depth].e == eoff[stack[depth].q + 1])
+                depth--;
+            if (depth < 0)
+                break;
+            int64_t e = stack[depth].e;
+            stack[depth].e += 2;
+            path[depth] = (uint64_t)edges[e];
+            depth++;
+            stack[depth] = (dfs_frame){edges[e + 1], eoff[edges[e + 1]]};
+        }
+    }
+    int64_t total = 0;
+    for (int64_t w = 0; w < set.count; w++)
+        total += set.off[w + 1] - set.off[w] + 1;
+    if (total > suffix_cap) {
+        rc = NATIVE_OK;
+        goto out;
+    }
+    /* sort the words as tuples: by their letters, a prefix first */
+    if (!(order = malloc((set.count + 1) * sizeof *order)))
+        goto out;
+    for (int64_t w = 0; w < set.count; w++) {
+        int64_t j = w;
+        for (; j > 0; j--) {
+            int64_t xl, yl;
+            const uint64_t *x = state(&set, order[j - 1], &xl), *y = state(&set, w, &yl);
+            int64_t m = 0;
+            while (m < xl && m < yl && x[m] == y[m])
+                m++;
+            /* words are distinct: x ends first only as a proper prefix */
+            if (m == xl || (m < yl && x[m] < y[m]))
+                break;
+            order[j] = order[j - 1];
+        }
+        order[j] = w;
+    }
+    f->letters = malloc((total - set.count + 1) * sizeof *f->letters);
+    f->word_off = malloc((set.count + 1) * sizeof *f->word_off);
+    if (!f->letters || !f->word_off)
+        goto out;
+    f->word_off[0] = 0;
+    for (int64_t i = 0; i < set.count; i++) {
+        int64_t len, at = f->word_off[i];
+        const uint64_t *x = state(&set, order[i], &len);
+        for (int64_t j = 0; j < len; j++)
+            f->letters[at + j] = (int32_t)x[j];
+        f->word_off[i + 1] = at + len;
+    }
+    f->nwords = set.count;
+    *found = 1;
+    rc = NATIVE_OK;
+out:
+    free(eoff);
+    free(order);
+    free(edges);
+    free(acc);
+    free(path);
+    free(targets);
+    free(stack);
+    set_free(&set);
+    return rc;
+}
+
+/* The rows of the up-closure NFA of the table (closures.up_closure): each
+ * state's own rows, and a self-loop on every letter. */
+static int up_rows(const table *t, front *f)
+{
+    int64_t n = t->n, k = t->k, acc_len = 0;
+    pool p = {NULL, 0, n * k + 16};
+    uint64_t *acc = calloc((n + 63) / 64 + 1, sizeof *acc);
+    p.words = malloc(p.cap * sizeof *p.words);
+    if (!acc || !p.words) {
+        free(acc);
+        free(p.words);
+        return NATIVE_NOMEM;
+    }
+    int rc = NATIVE_OK;
+    for (int64_t r = 0; r < n * k && rc == NATIVE_OK; r++) {
+        int64_t q = r / k;
+        or_targets(t, r, NULL, acc, &acc_len);
+        acc[q / 64] |= (uint64_t)1 << (q % 64);
+        if (q / 64 + 1 > acc_len)
+            acc_len = q / 64 + 1;
+        rc = pool_add(&p, acc, acc_len, f->row_off + r, f->row_end + r);
+        acc_len = 0;
+    }
+    free(acc);
+    f->words = p.words;
+    return rc;
+}
+
+/* The rows of the down-closure NFA of the table (closures._down_closure),
+ * state q renumbered pos[q] (q when pos is NULL): the rows of a component
+ * are the OR of its members' rows and of the rows of the components it
+ * enters, built once, below first, and shared by its members. */
+static int down_rows(const components *c, const int32_t *pos, front *f)
+{
+    const table *t = &c->t;
+    int64_t n = t->n, k = t->k, acc_len = 0;
+    pool p = {NULL, 0, n * k + 16};
+    int64_t *coff = malloc((c->ncomps * k + 1) * sizeof *coff);
+    int64_t *cend = malloc((c->ncomps * k + 1) * sizeof *cend);
+    uint64_t *acc = calloc((n + 63) / 64 + 1, sizeof *acc);
+    int rc = NATIVE_NOMEM;
+    p.words = malloc(p.cap * sizeof *p.words);
+    if (!coff || !cend || !acc || !p.words)
+        goto out;
+    for (int64_t comp = 0; comp < c->ncomps; comp++) {
+        for (int64_t a = 0; a < k; a++) {
+            for (int64_t i = c->comp_off[comp]; i < c->comp_off[comp + 1]; i++)
+                or_targets(t, c->members[i] * k + a, pos, acc, &acc_len);
+            for (int64_t i = c->below_off[comp]; i < c->below_off[comp + 1]; i++) {
+                int64_t r = c->below[i] * k + a;
+                const uint64_t *run = p.words + coff[r];
+                int64_t len = cend[r] - coff[r];
+                for (int64_t j = 0; j < len; j++)
+                    acc[j] |= run[j];
+                if (len > acc_len)
+                    acc_len = len;
+            }
+            if ((rc = pool_add(&p, acc, acc_len, coff + comp * k + a, cend + comp * k + a))
+                != NATIVE_OK)
+                goto out;
+            acc_len = 0;
+        }
+    }
+    for (int64_t q = 0; q < n; q++) {
+        int64_t to = (pos ? pos[q] : q) * k, from = c->comp_of[q] * k;
+        for (int64_t a = 0; a < k; a++) {
+            f->row_off[to + a] = coff[from + a];
+            f->row_end[to + a] = cend[from + a];
+        }
+    }
+    rc = NATIVE_OK;
+out:
+    f->words = p.words;
+    free(coff);
+    free(cend);
+    free(acc);
+    return rc;
+}
+
+/* Prepare closure_dfa's closure of the automaton whose components c are
+ * (see find_components), with the `ninitial` initial states `initial`
+ * and the `nfinal` final states `final`, as closures.closure_dfa's pure
+ * composition does.
+ *
+ * Up: when every useful component is one state without a self-loop, the
+ * language is finite, and its words go to the cone unless the caps stop
+ * their search (see finite_words); otherwise the up-closure NFA's rows.
+ * Down: the down-closure NFA, on inputs of more than reduce_min states
+ * renumbered, when an edge enters a lower state, so that components come
+ * in topological order, each one's members contiguous (the order of
+ * closures._reduced_down_closure), and its initial set reduced to its
+ * `maximal` part.  Its final states are those whose component reaches a
+ * final state.  On NATIVE_OK, *out is to be released with front_free. */
+static int front_of(const components *c, const int32_t *initial, int64_t ninitial,
+                    const int32_t *final, int64_t nfinal, int32_t up, int64_t reduce_min,
+                    int64_t word_cap, int64_t suffix_cap, int64_t step_cap, front **out)
+{
+    const table *t = &c->t;
+    int64_t n = t->n, k = t->k, nc = c->ncomps;
+    front *f = calloc(1, sizeof *f);
+    char *co = calloc(nc + 1, 1), *fwd = calloc(nc + 1, 1);
+    char *useful = calloc(n + 1, 1), *is_final = calloc(n + 1, 1);
+    int32_t *pos = NULL, *keep = NULL;
+    uint64_t *red = NULL;
+    int rc = NATIVE_NOMEM;
+    if (!f || !co || !fwd || !useful || !is_final)
+        goto out;
+    rc = NATIVE_BADINPUT;
+    for (int64_t i = 0; i < ninitial; i++)
+        if (initial[i] < 0 || initial[i] >= n)
+            goto out;
+    for (int64_t i = 0; i < nfinal; i++) {
+        if (final[i] < 0 || final[i] >= n)
+            goto out;
+        is_final[final[i]] = 1;
+        co[c->comp_of[final[i]]] = 1;
+    }
+    rc = NATIVE_NOMEM;
+    /* usefulness, as core._usefulness: `below` comes first */
+    for (int64_t i = 0; i < nc; i++)
+        for (int64_t j = c->below_off[i]; j < c->below_off[i + 1] && !co[i]; j++)
+            co[i] = co[c->below[j]];
+    for (int64_t i = 0; i < ninitial; i++)
+        fwd[c->comp_of[initial[i]]] = 1;
+    for (int64_t i = nc - 1; i >= 0; i--)
+        if (fwd[i])
+            for (int64_t j = c->below_off[i]; j < c->below_off[i + 1]; j++)
+                fwd[c->below[j]] = 1;
+    f->nwords = -1;
+    if (up) {
+        int finite = 1;
+        for (int64_t i = 0; i < nc && finite; i++) {
+            if (!fwd[i] || !co[i])
+                continue;
+            int64_t q = c->members[c->comp_off[i]];
+            finite = c->comp_off[i + 1] - c->comp_off[i] == 1;
+            for (int64_t j = c->adj_off[q]; j < c->adj_off[q + 1] && finite; j++)
+                finite = c->adj[j] != q;
+            useful[q] = 1;
+        }
+        if (finite) {
+            int found;
+            if ((rc = finite_words(t, useful, is_final, initial, ninitial, word_cap, suffix_cap,
+                                   step_cap, f, &found)) != NATIVE_OK)
+                goto out;
+            if (found)
+                goto done;
+        }
+    }
+    rc = NATIVE_NOMEM;
+    f->row_off = malloc((n * k + 1) * sizeof *f->row_off);
+    f->row_end = malloc((n * k + 1) * sizeof *f->row_end);
+    if (!f->row_off || !f->row_end)
+        goto out;
+    if (up) {
+        if ((rc = up_rows(t, f)) != NATIVE_OK
+            || (rc = run_of(initial, ninitial, NULL, n, &f->init, &f->init_len)) != NATIVE_OK
+            || (rc = run_of(final, nfinal, NULL, n, &f->fin, &f->fin_len)) != NATIVE_OK)
+            goto out;
+        goto done;
+    }
+    f->reduced = n > reduce_min;
+    for (int64_t q = 0; q < n && f->reduced && !pos; q++)
+        if (c->adj_off[q] < c->adj_off[q + 1] && c->adj[c->adj_off[q]] < q) {
+            /* an edge into a lower state: number the components sinks
+             * last, as reversed(comps) lists them */
+            if (!(pos = malloc((n + 1) * sizeof *pos)))
+                goto out;
+            for (int64_t i = nc - 1, j = 0; i >= 0; i--)
+                for (int64_t m = c->comp_off[i]; m < c->comp_off[i + 1]; m++)
+                    pos[c->members[m]] = (int32_t)j++;
+        }
+    if (!(keep = malloc((n + 1) * sizeof *keep)))
+        goto out;
+    int64_t nkeep = 0;
+    for (int64_t q = 0; q < n; q++)
+        if (co[c->comp_of[q]])
+            keep[nkeep++] = (int32_t)q;
+    if ((rc = down_rows(c, pos, f)) != NATIVE_OK
+        || (rc = run_of(initial, ninitial, pos, n, &f->init, &f->init_len)) != NATIVE_OK
+        || (rc = run_of(keep, nkeep, pos, n, &f->fin, &f->fin_len)) != NATIVE_OK)
+        goto out;
+    if (f->reduced && f->init_len) {
+        rows_t rows = {f->words, f->row_off, f->row_end};
+        if (!(red = calloc(f->init_len + 1, sizeof *red))) {
+            rc = NATIVE_NOMEM;
+            goto out;
+        }
+        f->init_len = maximal(f->init, f->init_len, &rows, k, red);
+        free(f->init);
+        f->init = red;
+        red = NULL;
+    }
+done:
+    *out = f;
+    f = NULL;
+    rc = NATIVE_OK;
+out:
+    front_free(f);
+    free(co);
+    free(fwd);
+    free(useful);
+    free(is_final);
+    free(pos);
+    free(keep);
+    free(red);
+    return rc;
+}
+
+/* The components of the table (n, k, dfa or words, off and end: see
+ * `table`), as strong_components finds them, and then front_of them: one
+ * call from Python for closure_dfa's whole front end. */
+int closure_front(int32_t n, int32_t k, const int32_t *dfa, const uint64_t *words,
+                  const int64_t *off, const int64_t *end, const int32_t *initial,
+                  int64_t ninitial, const int32_t *final, int64_t nfinal, int32_t up,
+                  int64_t reduce_min, int64_t word_cap, int64_t suffix_cap, int64_t step_cap,
+                  front **out)
+{
+    table t = {n, k, dfa, words, off, end};
+    components *c = NULL;
+    int rc = find_components(&t, &c);
+    if (rc == NATIVE_OK)
+        rc = front_of(c, initial, ninitial, final, nfinal, up, reduce_min, word_cap, suffix_cap,
+                      step_cap, out);
+    components_free(c);
     return rc;
 }
 

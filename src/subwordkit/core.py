@@ -447,19 +447,33 @@ def _adjacency(a):
 
 
 def strong_components(a):
-    """Strongly connected components of a's transition graph, letters ignored.
+    """Strongly connected components of a's transition graph, letters
+    ignored, by `_strong_components` until the compiled kernels are
+    loaded.  From then on C finds the same components
+    (kernels.strong_components) from the input's own table, a DFA's too,
+    when they are first read as that tuple, or when closures.closure_dfa
+    hands them to kernels.closure_front."""
+    if isinstance(a, Dfa):
+        found = kernels.strong_components(a.n, a.k, a.delta_flat(), None)
+    else:
+        a = as_nfa(a)
+        found = kernels.strong_components(a.n, a.k, None, a.succ_masks())
+    return _strong_components(as_nfa(a)) if found is None else found
+
+
+def _strong_components(a):
+    """strong_components of the NFA a in Python, the compiled one's twin.
 
     An iterative Tarjan, so a long path needs no deep recursion; it keeps
     the state it searches in local variables and takes each state's edges
     off its adjacency mask, lowest first.  Returns (comps, comp_of,
     below): comps[i] lists the members of component i, comp_of[q] is the
-    component of state q, and below[i] is a tuple of the other components
-    that an edge from component i enters.  Components
-    come in reverse topological order: every j in below[i] is below i.
-    No mask sized by n is built per component, so n states without edges
-    cost O(n), not O(n²).
+    component of state q, and below[i] is the ascending tuple of the other
+    components that an edge from component i enters, read off one mask of
+    them.  Components come in reverse topological order: every j in
+    below[i] is below i.  A component with at most one edge out builds no
+    mask, so n states without edges cost O(n), not O(n²).
     """
-    a = as_nfa(a)
     n = a.n
     adj = _adjacency(a)
     index = [-1] * n
@@ -517,7 +531,16 @@ def strong_components(a):
                     out |= adj[w]
                 comps.append(members)
                 if out & (out - 1):
-                    below.append(tuple({comp_of[q] for q in bits(out)} - {c}))
+                    entered = 0
+                    for q in bits(out):
+                        entered |= 1 << comp_of[q]
+                    entered ^= entered & 1 << c
+                    ds = []
+                    while entered:
+                        low = entered & -entered
+                        ds.append(low.bit_length() - 1)
+                        entered ^= low
+                    below.append(tuple(ds))
                 else:  # no edge out, or one
                     d = comp_of[out.bit_length() - 1] if out else c
                     below.append((d,) if d != c else ())

@@ -21,6 +21,18 @@ and builds everything else (the minimal words, their suffix ids and the
 dominators) in the backend: the compiled one in C, so that a finite
 up-closure is one kernel call.
 
+closures.closure_dfa's front end, the work between an input automaton
+and those kernels, is compiled too: `strong_components` takes the
+input's own table across (a DFA's array as it is), and `closure_front`,
+one call into C, finds the components from it and prepares the
+closure, the finite language's words for the cone or the closure NFA's
+rows for the subset construction.  What it prepares stays in C, and the
+compiled cone, subset construction and minimisation take it as it is,
+so that no subset becomes a Python int.  They have no pure form here:
+until the compiled kernels are loaded they return None, and core and
+closures compose the same steps in Python, the twin they are tested
+against.
+
 `explore` is the one loop that numbers the states of a construction: BFS
 from the start state, letters in index order, at most `budget` states
 (state number budget + 1 raises BudgetExceededError).  The pure kernels
@@ -31,8 +43,9 @@ compiled kernels number theirs with its C twin, under the same rule.
 as subwordkit.KERNEL_BACKEND).  The compiled kernels are loaded once, on
 the first cone call, the first read of `ACTIVE`, or the first subset
 construction, antichain search or minimisation that reaches
-LOAD_MIN_WORK; never at import.  Until then those three run pure, so a
-small command loads nothing.
+LOAD_MIN_WORK; never at import, and never by the front end, which only
+runs once they are loaded.  Until then those three run pure, so a small
+command loads nothing.
 """
 
 from . import _kernels_py
@@ -67,6 +80,33 @@ def _load():
         ACTIVE = "compiled"
     _backend = backend
     return backend
+
+
+def compiled():
+    """Whether the compiled kernels are loaded; loads nothing."""
+    return _backend is not None and _backend is not _kernels_py
+
+
+def strong_components(n, k, delta, succ):
+    """The strong components of the automaton with the DFA table `delta`
+    or, when delta is None, the NFA table `succ`, in C: a
+    `_native.Components`, which reads as core.strong_components' tuple.
+    None until the compiled kernels are loaded, and with the pure ones:
+    core.strong_components then runs its own Tarjan, the pure twin."""
+    if not compiled():
+        return None
+    return _backend.strong_components(n, k, delta, succ)
+
+
+def closure_front(components, initial, final, up, reduce_min, word_cap, suffix_cap, step_cap):
+    """What closure_dfa hands the closure kernels, prepared in C, in one
+    call, from the table of the `components` that strong_components
+    returned: see _native.closure_front.  None for the tuple of the pure Tarjan, whose
+    closure closures.closure_dfa composes in Python, the pure twin."""
+    if not compiled() or not isinstance(components, _backend.Components):
+        return None
+    return _backend.closure_front(components, initial, final, up, reduce_min, word_cap,
+                                  suffix_cap, step_cap)
 
 
 def cone_closure(k, words, budget):

@@ -14,12 +14,10 @@ reduction, Fraction elimination
 instead of the fraction-free integer one, a membership run per pair
 instead of forward and backward state sets, a forward and a backward
 search over the triples instead of one pass over the strongly connected
-components, and Decimal arithmetic instead of the integer
-Lucas/Fibonacci formula.  Slow is fine; these only run on small inputs.
+components.  Slow is fine; these only run on small inputs.
 """
 
 import itertools
-from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from subwordkit import BudgetExceededError, Dfa, VerificationError, Word
@@ -438,15 +436,6 @@ def rank_fractions(rows):
         if rank == m:
             break
     return rank
-
-
-def phi_bound(n):
-    """ceil(phi**n / 7) via high-precision Decimal."""
-    getcontext().prec = 60
-    phi = (Decimal(1) + Decimal(5).sqrt()) / 2
-    v = phi ** n / 7
-    f = int(v)
-    return f if f == v else f + 1
 
 
 def known_rank_matrix(rng, rows, cols, r):
