@@ -177,13 +177,9 @@ def _runs(masks):
 
 
 def _take(p, typecode, count):
-    """A copy of the C array at p of `count` items, as array(typecode);
-    p is released."""
+    """_copy of the C array at p, which is then released."""
     try:
-        out = array(typecode, [0]) * count
-        if count:
-            ctypes.memmove(_addr(out), p, count * out.itemsize)
-        return out
+        return _copy(p, typecode, count)
     finally:
         _lib.native_free(p)
 

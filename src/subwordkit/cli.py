@@ -45,9 +45,9 @@ def _write_text(path, text):
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _read_automaton(path):
+def _read_automaton(path, budget):
     from .formats import parse_automaton
-    return parse_automaton(_read_text(path))
+    return parse_automaton(_read_text(path), budget)
 
 
 def _emit(args, automaton):
@@ -84,14 +84,14 @@ def _cmd_gen(args):
 
 def _cmd_closure(args):
     from .closures import closure_dfa
-    a = _read_automaton(args.inp)
+    a = _read_automaton(args.inp, args.budget)
     _emit(args, closure_dfa(a, args.direction, args.budget))
     return 0
 
 
 def _cmd_interior(args):
     from .interiors import down_interior, up_interior
-    a = _read_automaton(args.inp)
+    a = _read_automaton(args.inp, args.budget)
     interior = up_interior if args.direction == "up" else down_interior
     _emit(args, interior(a, args.method, args.budget))
     return 0
@@ -99,14 +99,14 @@ def _cmd_interior(args):
 
 def _cmd_minimize(args):
     from .core import canonical_dfa
-    a = _read_automaton(args.inp)
+    a = _read_automaton(args.inp, args.budget)
     _emit(args, canonical_dfa(a, args.budget))
     return 0
 
 
 def _cmd_decide(args):
     from .decisions import closure_equal, closure_inclusion, down_universal, is_closed
-    a = _read_automaton(args.inp)
+    a = _read_automaton(args.inp, args.budget)
     kind = args.kind
     if kind == "universal":
         cert = down_universal(a, args.budget)
@@ -120,7 +120,7 @@ def _cmd_decide(args):
         else:
             if args.in2 is None:
                 raise InputError(f"decide {kind} needs --in2")
-            b = _read_automaton(args.in2)
+            b = _read_automaton(args.in2, args.budget)
             decide = closure_inclusion if kind == "inclusion" else closure_equal
             cert = decide(a, b, args.direction, args.budget)
             label = f"closure-{kind} ({args.direction})"
@@ -133,13 +133,10 @@ def _cmd_decide(args):
 def _bounds_instance(args):
     """The automaton that the bounds commands check: the --in file, within
     the default budget (they take no --budget), or the family's own."""
-    from .core import check_budget
     from .closures import down_closure, up_closure
     from .witnesses import gen_family
     if args.inp:
-        inst = _read_automaton(args.inp)
-        check_budget(inst, DEFAULT_BUDGET)
-        return inst
+        return _read_automaton(args.inp, DEFAULT_BUDGET)
     family, param = args.family, args.param
     if family in ("U", "V", "Uprime", "E", "D", "notU"):
         return gen_family(family, param)

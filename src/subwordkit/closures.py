@@ -76,8 +76,10 @@ def _down_closure(a, components):
 def _reduced_down_closure(a, components=None):
     """The down-closure NFA of `a` and whether its subsets may be reduced
     to their `kernels.maximal` part: False for inputs of at most
-    REDUCE_MIN_STATES states, True above.  `components` is
-    strong_components(a) when the caller already has it.
+    REDUCE_MIN_STATES states, True above.  `a` may be a Dfa;
+    `components` is strong_components(a) when the caller already has it,
+    else they are found from `a` as given, so that a DFA's table crosses
+    to the compiled kernels as it is.
 
     A state q of a down-closure NFA simulates every state r it reaches:
     q's row contains r's row letter by letter, and q is final when r is.
@@ -116,9 +118,9 @@ def _reduced_down_closure(a, components=None):
     (seed 1), all on inputs of 5-16 states, 1.8x slower, median per
     operation, best of 7 (Python 3.11, 2 shared vCPUs).
     """
-    a = as_nfa(a)
     if components is None:
         components = strong_components(a)
+    a = as_nfa(a)
     n, k = a.n, a.k
     if n <= REDUCE_MIN_STATES:
         return _down_closure(a, components), False

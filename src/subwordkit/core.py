@@ -113,48 +113,51 @@ class Nfa:
     """Epsilon-free NFA.  States are 0..n-1; transitions are (p, a, q)
     triples with a a letter index; any number of initial states.
 
-    An NFA holds one form of its transitions at a time.  The kernels read
-    the flat n*k table of successor bitmasks (`succ_masks`); the closures
-    and `Dfa.to_nfa` build that table directly.  An NFA built from triples
-    keeps them only until the first `succ_masks()`, which builds the table
-    and drops them.  `transitions` is derived from the table on every read
-    and not kept, so the triple set of a closure NFA (about n²/2 triples
-    for the down-closure of a path) lives only as long as its reader holds
-    it.  Two NFAs are equal when they have the same alphabet, states,
+    An NFA holds its transitions in one form, the flat n*k table of
+    successor bitmasks that the kernels read (`succ_masks`).  The
+    constructor checks the triples it is given and ORs them into that
+    table; the closures, `Dfa.to_nfa` and the parser build the table
+    directly (`_of_masks`).  The constructor trusts `n` to size the table:
+    a count read from an untrusted source is checked against a budget
+    before an NFA is built (the parsers of `formats` do so).
+    `transitions` is derived from the table on every read and not kept,
+    so the triple set of a closure NFA (about n²/2 triples for the
+    down-closure of a path) lives only as long as its reader holds it.
+    Two NFAs are equal when they have the same alphabet, states,
     transitions, initial and final states.  Instances are immutable.
     """
 
-    __slots__ = ("alphabet", "n", "initial", "final", "_succ", "_transitions")
+    __slots__ = ("alphabet", "n", "initial", "final", "_succ")
 
     def __init__(self, alphabet, n, transitions, initial, final):
-        transitions = frozenset(transitions)
         initial = frozenset(initial)
         final = frozenset(final)
         if n < 0:
             raise InputError("state count must be nonnegative")
         k = alphabet.k
+        succ = [0] * (n * k)
         for p, a, q in transitions:
             if not (0 <= p < n and 0 <= q < n):
                 raise InputError(f"transition ({p},{a},{q}) uses a state out of range")
             if not 0 <= a < k:
                 raise InputError(f"transition ({p},{a},{q}) uses a letter out of range")
+            succ[p * k + a] |= 1 << q
         for s in initial | final:
             if not 0 <= s < n:
                 raise InputError(f"state {s} out of range")
-        self._init(alphabet, n, initial, final, None, transitions)
+        self._init(alphabet, n, initial, final, tuple(succ))
 
     @classmethod
     def _of_masks(cls, alphabet, n, succ, initial, final):
         """NFA over a ready n*k successor table, taken as valid (for
         constructions of the package, which build the table directly)."""
         nfa = cls.__new__(cls)
-        nfa._init(alphabet, n, frozenset(initial), frozenset(final), tuple(succ), None)
+        nfa._init(alphabet, n, frozenset(initial), frozenset(final), tuple(succ))
         return nfa
 
-    def _init(self, alphabet, n, initial, final, succ, transitions):
+    def _init(self, alphabet, n, initial, final, succ):
         for name, value in (("alphabet", alphabet), ("n", n), ("initial", initial),
-                            ("final", final), ("_succ", succ),
-                            ("_transitions", transitions)):
+                            ("final", final), ("_succ", succ)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -179,19 +182,8 @@ class Nfa:
 
     def succ_masks(self):
         """Flat n*k table of successor bitmasks (kernel input form):
-        entry p*k + a has bit q set for each transition (p, a, q).  Built
-        on first call, which drops the triples the NFA was built from, and
-        shared by all later ones."""
-        succ = self._succ
-        if succ is None:
-            k = self.k
-            table = [0] * (self.n * k)
-            for p, a, q in self._transitions:
-                table[p * k + a] |= 1 << q
-            succ = tuple(table)
-            object.__setattr__(self, "_succ", succ)
-            object.__setattr__(self, "_transitions", None)
-        return succ
+        entry p*k + a has bit q set for each transition (p, a, q)."""
+        return self._succ
 
     def init_mask(self):
         m = 0
@@ -392,16 +384,23 @@ def accepts(a, w):
 def check_budget(a, budget):
     """Validate a state budget against the input automaton, before any work.
 
-    Raises InputError for an argument that is not an automaton or a budget
-    below 1, and BudgetExceededError when the input alone has more states
-    than the budget: a state count read from an untrusted header is
-    refused before anything sized by it is allocated.
+    Raises InputError for an argument that is not an automaton, and
+    otherwise applies `_check_states` to its state count.  The automaton
+    is built by then, so this bounds the work, not the input's own
+    tables: a state count read from untrusted text is checked by the
+    parsers of `formats`, before anything sized by it is allocated.
     """
     if not isinstance(a, (Nfa, Dfa)):
         raise InputError(f"expected an automaton, got {type(a).__name__}")
+    _check_states(a.n, budget)
+
+
+def _check_states(n, budget):
+    """The budget rule for an input of n states: InputError for a budget
+    below 1, BudgetExceededError when n exceeds the budget."""
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
-    if a.n > budget:
+    if n > budget:
         raise BudgetExceededError("input states", budget)
 
 

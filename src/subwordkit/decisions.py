@@ -172,10 +172,15 @@ def is_closed(a, direction, budget=DEFAULT_BUDGET):
     """Is L(a) up- or down-closed?  The closure always contains L, so this
     reduces to emptiness of closure(L) ∖ L."""
     check_budget(a, budget)
-    a = as_nfa(a)
     _check_direction(direction)
-    closure, reduced = _closure_nfa(a, direction)
-    w = _shortest_in_difference(closure, a, budget, reduced, False)
+    # a DFA is converted once, for both the closure and the search, but
+    # its components are read off its own table
+    nfa = as_nfa(a)
+    if direction == "up":
+        closure, reduced = up_closure(nfa), False
+    else:
+        closure, reduced = _reduced_down_closure(nfa, strong_components(a))
+    w = _shortest_in_difference(closure, nfa, budget, reduced, False)
     return Certificate(w is None, w)
 
 
@@ -270,7 +275,7 @@ def closure_inclusion(a, b, direction, budget=DEFAULT_BUDGET):
     decreasing, but it may bottom out at the empty set, which costs one
     extra letter over the strict bound one would get otherwise.
     """
-    a, b = _closure_operands(a, b, direction, budget)
+    _check_operands(a, b, direction, budget)
     return _inclusion(a, b, direction, budget,
                       _closure_nfa(a, direction), _closure_nfa(b, direction))
 
@@ -282,7 +287,7 @@ def closure_equal(a, b, direction, budget=DEFAULT_BUDGET):
     closure_inclusion(b, a), but each closure NFA is built once and
     searched in both orders.
     """
-    a, b = _closure_operands(a, b, direction, budget)
+    _check_operands(a, b, direction, budget)
     ca = _closure_nfa(a, direction)
     cb = _closure_nfa(b, direction)
     first = _inclusion(a, b, direction, budget, ca, cb)
@@ -291,15 +296,12 @@ def closure_equal(a, b, direction, budget=DEFAULT_BUDGET):
     return _inclusion(b, a, direction, budget, cb, ca)
 
 
-def _closure_operands(a, b, direction, budget):
-    """a and b as NFAs, after every check that needs no closure."""
+def _check_operands(a, b, direction, budget):
+    """Every check of a binary decision that needs no closure."""
     check_budget(a, budget)
     check_budget(b, budget)
-    a = as_nfa(a)
-    b = as_nfa(b)
     _check_alphabets(a, b)
     _check_direction(direction)
-    return a, b
 
 
 def _inclusion(a, b, direction, budget, closure_a, closure_b):
@@ -330,10 +332,10 @@ def down_universal(a, budget=DEFAULT_BUDGET):
     closure route reuses the components found here.
     """
     check_budget(a, budget)
+    components = strong_components(a)
     a = as_nfa(a)
     k = a.k
     succ = a.succ_masks()
-    components = strong_components(a)
     fwd, co = _usefulness(a, components)
     for i, members in enumerate(components[0]):
         if not (fwd[i] and co[i]):

@@ -18,12 +18,20 @@ symbol index, then target state.
 
 parse_dfa additionally requires a single initial state and at most one
 transition per (state, symbol) pair, and returns a Dfa.
+
+The `states` header is untrusted: both parsers take a state budget and
+refuse a count above it (BudgetExceededError, as core.check_budget
+would) before anything is sized by it.  Every state and symbol is then
+checked as it is read, and the transitions go straight into the
+automaton's table.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import FormatError, InputError
-from .core import Alphabet, Dfa, Nfa, as_nfa
+from .core import DEFAULT_BUDGET, Alphabet, Dfa, Nfa, _check_states, as_nfa
 
 
 def _logical_lines(text):
@@ -46,7 +54,7 @@ def _parse_header_ints(tokens, lineno, n, what):
     return out
 
 
-def _parse(text, require_dfa):
+def _parse(text, require_dfa, budget):
     lines = _logical_lines(text)
     try:
         lineno, tokens = next(lines)
@@ -71,6 +79,7 @@ def _parse(text, require_dfa):
         raise FormatError(f"state count {tokens[1]!r} is not an integer", lineno)
     if n < 0:
         raise FormatError("state count must be nonnegative", lineno)
+    _check_states(n, budget)
 
     try:
         lineno, tokens = next(lines)
@@ -91,7 +100,8 @@ def _parse(text, require_dfa):
         raise FormatError("expected 'final <state>...'", lineno)
     final = _parse_header_ints(tokens[1:], lineno, n, "final")
 
-    transitions = []
+    k = alphabet.k
+    table = array("i", [-1]) * (n * k) if require_dfa else [0] * (n * k)
     seen = {}
     for lineno, tokens in lines:
         if len(tokens) != 3:
@@ -108,22 +118,24 @@ def _parse(text, require_dfa):
                 raise FormatError(
                     f"duplicate transition for state {src} on {tokens[1]!r}"
                     f" (first on line {before})", lineno)
-        transitions.append((src, sym, dst))
+            table[src * k + sym] = dst
+        else:
+            table[src * k + sym] |= 1 << dst
 
     if require_dfa:
-        delta = {(src, sym): dst for src, sym, dst in transitions}
-        return Dfa(alphabet, n, delta, initial[0], final)
-    return Nfa(alphabet, n, transitions, initial, final)
+        return Dfa._of_table(alphabet, n, table, initial[0], final)
+    return Nfa._of_masks(alphabet, n, table, initial, final)
 
 
-def parse_automaton(text):
-    """Parse the text format into an Nfa."""
-    return _parse(text, require_dfa=False)
+def parse_automaton(text, budget=DEFAULT_BUDGET):
+    """Parse the text format into an Nfa of at most `budget` states."""
+    return _parse(text, False, budget)
 
 
-def parse_dfa(text):
-    """Parse the text format into a Dfa, rejecting nondeterminism."""
-    return _parse(text, require_dfa=True)
+def parse_dfa(text, budget=DEFAULT_BUDGET):
+    """Parse the text format into a Dfa of at most `budget` states,
+    rejecting nondeterminism."""
+    return _parse(text, True, budget)
 
 
 def _sorted_parts(a):

@@ -212,12 +212,16 @@ def test_declared_state_count_is_checked_against_the_budget(capsys, tmp_path):
     ["closure", "down"], ["minimize"], ["decide", "universal"], ["interior", "up"],
     ["bounds", "fooling", "--family", "U", "--param", "2"],
     ["bounds", "rank", "--family", "U", "--param", "2"],
+    ["decide", "inclusion", "--direction", "up"],
 ])
 def test_a_huge_states_header_is_refused_before_any_table(capsys, tmp_path, argv):
     # a table sized by this header would need petabytes
     f = tmp_path / "huge.aut"
     f.write_text("alphabet a1 a2\nstates 1000000000000000\ninitial 0\nfinal 0\n")
-    code, _, err = run(capsys, argv + ["--in", str(f)])
+    files = ["--in", str(f)]
+    if "inclusion" in argv:  # the second file is read under the budget too
+        files = ["--in", write_family(tmp_path, "D", 2), "--in2", str(f)]
+    code, _, err = run(capsys, argv + files)
     assert code == 3 and "input states exceeded budget" in err
 
 

@@ -355,6 +355,34 @@ def test_down_universal_agrees_with_the_closure_dfa(a):
         assert not down_member(a, cert.witness)
 
 
+@settings(max_examples=150, deadline=None)
+@given(dfas(), st.data())
+def test_a_dfa_decides_as_its_nfa(d, data):
+    # a DFA's components are found from its own table, not from its NFA's
+    a = d.to_nfa()
+    b = data.draw(nfas(max_states=6, k=d.k))
+    assert down_universal(d) == down_universal(a)
+    for direction in ("up", "down"):
+        assert is_closed(d, direction) == is_closed(a, direction)
+        for decide in (closure_inclusion, closure_equal):
+            assert decide(d, b, direction) == decide(a, b, direction)
+            assert decide(b, d, direction) == decide(b, a, direction)
+
+
+def test_a_large_dfa_decides_as_its_nfa_on_the_reduced_route():
+    # above REDUCE_MIN_STATES states the down closure renumbers and reduces
+    rng = random.Random(22)
+    for n in (70, 130):
+        d = random_dfa(rng, n, 2)
+        a = d.to_nfa()
+        b = random_nfa(rng, 8, 2)
+        assert down_universal(d) == down_universal(a)
+        for direction in ("up", "down"):
+            assert is_closed(d, direction) == is_closed(a, direction)
+            assert closure_equal(d, b, direction) == closure_equal(a, b, direction)
+            assert closure_inclusion(b, d, direction) == closure_inclusion(b, a, direction)
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_decisions_reject_nonpositive_budgets(budget):
     a = gen_family("D", 3)

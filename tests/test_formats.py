@@ -4,8 +4,8 @@ import tracemalloc
 import pytest
 
 from subwordkit import (
-    Dfa, FormatError, Nfa, auto_alphabet, equivalent, gen_family,
-    parse_automaton, parse_dfa, render_dot, serialize_automaton,
+    BudgetExceededError, Dfa, FormatError, InputError, Nfa, auto_alphabet, equivalent,
+    gen_family, parse_automaton, parse_dfa, render_dot, serialize_automaton,
 )
 from subwordkit.experiments import random_dfa, random_nfa
 
@@ -40,6 +40,27 @@ def test_round_trip_random():
         d = random_dfa(rng, rng.randint(1, 6), rng.randint(1, 3))
         d2 = parse_dfa(serialize_automaton(d))
         assert isinstance(d2, Dfa) and d2 == d
+        for parse, x in ((parse_automaton, a), (parse_dfa, d)):
+            # the states header is checked against the budget, with the
+            # rule of check_budget: a budget below 1 is bad input
+            text = serialize_automaton(x)
+            assert parse(text, x.n) == x
+            with pytest.raises(InputError if x.n == 1 else BudgetExceededError):
+                parse(text, x.n - 1)
+
+
+def test_a_huge_states_header_is_refused_before_any_table():
+    # a table sized by this header would need petabytes
+    text = "alphabet a1 a2\nstates 1000000000000000\ninitial 0\nfinal 0\n"
+    for parse in (parse_automaton, parse_dfa):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="input states exceeded budget"):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_serializing_a_long_dfa_builds_no_mask_table():
