@@ -162,28 +162,29 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     subsets reduced to their reachability-maximal states (see
     _reduced_down_closure).
 
-    The input's components are found once (strong_components).  Once the
-    compiled kernels are loaded, strong_components only takes the input's
-    table across, and one call into C (kernels.closure_front) finds the
-    components and runs the rest of the front end: the usefulness of each
-    component, the finite-language check and its words under the cone
-    caps, or the closure NFA's rows, initial and final sets.  Its
-    result goes to the cone, or to the subset construction and then
-    Hopcroft, as tables that C holds: no subset becomes a Python int, and
-    a DFA input is read from its own table.  Until then, and with the
-    pure kernels, the same steps run in Python (_finite_language,
-    up_closure, _reduced_down_closure), to the same kernel calls.
+    The input's components are found once (strong_components), which
+    loads the compiled kernels for an input of kernels.LOAD_MIN_WORK
+    states times letters or more.  On compiled components, which only
+    take the input's table across, one call into C (kernels.closure_front)
+    finds the components and runs the rest of the front end: the
+    usefulness of each component, the finite-language check and its words
+    under the cone caps, or the closure NFA's rows, initial and final
+    sets.  Its result goes to the cone, or to the subset construction and
+    then Hopcroft, as tables that C holds: no subset becomes a Python int,
+    and a DFA input is read from its own table.  On the pure Tarjan's
+    components, that is with the pure kernels or for a smaller input
+    before anything has loaded them, closure_front returns None and the
+    same steps run in Python (_composed_closure_dfa), to the same kernel
+    calls.
     """
     _check_direction(direction)
     check_budget(a, budget)
     up = direction == "up"
-    if not kernels.compiled():
-        return _composed_closure_dfa(as_nfa(a), up, budget)
     components = strong_components(a)
     initial = (a.initial,) if isinstance(a, Dfa) else a.initial
     front = kernels.closure_front(components, initial, a.final, up, REDUCE_MIN_STATES,
                                   CONE_WORD_CAP, CONE_SUFFIX_CAP, _CONE_STEP_CAP)
-    if front is None:  # more states than the C numbering takes
+    if front is None:
         return _composed_closure_dfa(as_nfa(a), up, budget, components)
     if front.words is not None:
         return _cone_dfa(a.alphabet, front.words, budget)
@@ -195,10 +196,9 @@ def closure_dfa(a, direction, budget=DEFAULT_BUDGET):
     return Dfa._of_table(a.alphabet, n, delta, 0, finals)
 
 
-def _composed_closure_dfa(a, up, budget, components=None):
-    """closure_dfa of the NFA `a` composed in Python, the compiled front
-    end's twin; `components` is strong_components(a) when the caller has
-    it.  Found here, they are freed once the closure NFA is built."""
+def _composed_closure_dfa(a, up, budget, components):
+    """closure_dfa of the NFA `a`, with the components strong_components(a),
+    composed in Python: the compiled front end's twin."""
     if up:
         words = _finite_language(a, components)
         if words is not None:
@@ -208,10 +208,10 @@ def _composed_closure_dfa(a, up, budget, components=None):
     return minimize(_determinize(closure, budget, reduced)[0])
 
 
-def _finite_language(a, components=None):
-    """The full word list, as sorted letter tuples, when the NFA `a` has a
-    finite language and the cone caps allow, else None; `components` is
-    strong_components(a) when the caller has it.
+def _finite_language(a, components):
+    """The full word list, as sorted letter tuples, when the NFA `a`, with
+    the components strong_components(a), has a finite language and the
+    cone caps allow, else None.
 
     The language is finite iff every useful component (see
     core._usefulness) is one state without a self-loop.  The words are
@@ -221,8 +221,6 @@ def _finite_language(a, components=None):
     """
     k = a.k
     succ = a.succ_masks()
-    if components is None:
-        components = strong_components(a)
     fwd, co = _usefulness(a, components)
     useful = set()
     for c, members in enumerate(components[0]):

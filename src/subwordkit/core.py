@@ -109,7 +109,25 @@ class Word:
         return " ".join(self.names()) if self.letters else "ε"
 
 
-class Nfa:
+class _Frozen:
+    """What makes Nfa and Dfa immutable: `_init` sets each slot once, in
+    the order of `__slots__`, and assignment and deletion raise
+    FrozenInstanceError, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Nfa(_Frozen):
     """Epsilon-free NFA.  States are 0..n-1; transitions are (p, a, q)
     triples with a a letter index; any number of initial states.
 
@@ -154,17 +172,6 @@ class Nfa:
         nfa = cls.__new__(cls)
         nfa._init(alphabet, n, frozenset(initial), frozenset(final), tuple(succ))
         return nfa
-
-    def _init(self, alphabet, n, initial, final, succ):
-        for name, value in (("alphabet", alphabet), ("n", n), ("initial", initial),
-                            ("final", final), ("_succ", succ)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Nfa._of_masks, (self.alphabet, self.n, self.succ_masks(),
@@ -218,8 +225,9 @@ class Nfa:
                 f"final={sorted(self.final)}, transitions={count})")
 
 
-class Dfa:
-    """Partial DFA backed by a flat transition array (n*k, -1 = missing)."""
+class Dfa(_Frozen):
+    """Partial DFA backed by a flat transition array (n*k, -1 = missing).
+    Instances are immutable."""
 
     __slots__ = ("alphabet", "n", "initial", "final", "_delta")
 
@@ -248,7 +256,7 @@ class Dfa:
         for q in final:
             if not 0 <= q < n:
                 raise InputError(f"final state {q} out of range")
-        self._init(alphabet, n, array("i", flat), initial, final)
+        self._init(alphabet, n, initial, final, array("i", flat))
 
     @classmethod
     def _of_table(cls, alphabet, n, delta, initial, final):
@@ -258,15 +266,11 @@ class Dfa:
         dfa = cls.__new__(cls)
         if not isinstance(delta, array):
             delta = array("i", delta)
-        dfa._init(alphabet, n, delta, initial, frozenset(final))
+        dfa._init(alphabet, n, initial, frozenset(final), delta)
         return dfa
 
-    def _init(self, alphabet, n, delta, initial, final):
-        self.alphabet = alphabet
-        self.n = n
-        self.initial = initial
-        self.final = final
-        self._delta = delta
+    def __reduce__(self):
+        return (Dfa._of_table, (self.alphabet, self.n, self._delta, self.initial, self.final))
 
     @property
     def k(self):
@@ -447,11 +451,13 @@ def _adjacency(a):
 
 def strong_components(a):
     """Strongly connected components of a's transition graph, letters
-    ignored, by `_strong_components` until the compiled kernels are
-    loaded.  From then on C finds the same components
-    (kernels.strong_components) from the input's own table, a DFA's too,
-    when they are first read as that tuple, or when closures.closure_dfa
-    hands them to kernels.closure_front."""
+    ignored.  Once the compiled kernels are loaded, or from
+    kernels.LOAD_MIN_WORK states times letters on, which loads them, C
+    finds them (kernels.strong_components) from the input's own table, a
+    DFA's too, when they are first read as `_strong_components`' tuple,
+    or when closures.closure_dfa hands them to kernels.closure_front.
+    Otherwise, and with the pure kernels, `_strong_components` finds
+    them."""
     if isinstance(a, Dfa):
         found = kernels.strong_components(a.n, a.k, a.delta_flat(), None)
     else:

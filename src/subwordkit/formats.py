@@ -167,9 +167,10 @@ def serialize_automaton(a):
 def render_dot(a):
     """Graphviz digraph for an automaton.  Finals are double circles and
     initial states get an arrow from an invisible point; parallel edges
-    are grouped into one arrow with a comma-separated label."""
+    are grouped into one arrow with a comma-separated label, in which
+    each `\\` and `"` of a symbol is escaped."""
     alphabet, n, initial, final, transitions = _sorted_parts(a)
-    names = alphabet.symbols
+    names = [s.replace("\\", "\\\\").replace('"', '\\"') for s in alphabet.symbols]
     out = ["digraph automaton {", "  rankdir=LR;"]
     for q in range(n):
         shape = "doublecircle" if q in final else "circle"

@@ -29,9 +29,8 @@ closure, the finite language's words for the cone or the closure NFA's
 rows for the subset construction.  What it prepares stays in C, and the
 compiled cone, subset construction and minimisation take it as it is,
 so that no subset becomes a Python int.  They have no pure form here:
-until the compiled kernels are loaded they return None, and core and
-closures compose the same steps in Python, the twin they are tested
-against.
+on the pure kernels they return None, and core and closures compose the
+same steps in Python, the twin they are tested against.
 
 `explore` is the one loop that numbers the states of a construction: BFS
 from the start state, letters in index order, at most `budget` states
@@ -42,10 +41,11 @@ compiled kernels number theirs with its C twin, under the same rule.
 `ACTIVE` names the backend of the four, "compiled" or "pure" (exported
 as subwordkit.KERNEL_BACKEND).  The compiled kernels are loaded once, on
 the first cone call, the first read of `ACTIVE`, or the first subset
-construction, antichain search or minimisation that reaches
-LOAD_MIN_WORK; never at import, and never by the front end, which only
-runs once they are loaded.  Until then those three run pure, so a small
-command loads nothing.
+construction, antichain search, minimisation or component search whose
+states times letters reach LOAD_MIN_WORK; never at import.  Until then
+those four run pure, so a small command loads nothing, and the front
+end, which runs on compiled components only, runs in C for every input
+of that size.
 """
 
 from . import _kernels_py
@@ -54,10 +54,12 @@ from ._kernels_py import (bits, explore, is_subword, maximal, minimal_masks, min
 from .errors import BudgetExceededError
 
 # Until the compiled kernels are loaded, a subset construction, an
-# antichain search or a minimisation runs pure while its states times its
-# letters stay below this bound: the two searches first run pure with
+# antichain search, a minimisation or a component search runs pure while
+# its states times its letters stay below this bound: the two searches,
+# whose state count is not known before they run, first run pure with
 # their budget cut to LOAD_MIN_WORK // letters states, and only when that
-# stops load the compiled kernels and start again there.  Loading them (ctypes, hashlib
+# stops load the compiled kernels and start again there; the other two
+# load them by their input's size (`_sized`).  Loading them (ctypes, hashlib
 # and the library) takes 8-13 ms in process and 10-26 ms in a CLI child.
 # Pure Hopcroft spends 1.4-2.6 us per state and letter (2.6 ms on the
 # 500-state path DFA, k = 2; 34 ms on D(11)'s 2048 states, k = 12), so
@@ -82,28 +84,35 @@ def _load():
     return backend
 
 
-def compiled():
-    """Whether the compiled kernels are loaded; loads nothing."""
-    return _backend is not None and _backend is not _kernels_py
+def _sized(work):
+    """The backend for a kernel whose states times letters, `work`, are
+    known before it runs: the loaded one, or until then the pure one
+    below LOAD_MIN_WORK and the compiled one, loaded now, from there on."""
+    if _backend is not None:
+        return _backend
+    return _kernels_py if work < LOAD_MIN_WORK else _load()
 
 
 def strong_components(n, k, delta, succ):
     """The strong components of the automaton with the DFA table `delta`
     or, when delta is None, the NFA table `succ`, in C: a
     `_native.Components`, which reads as core.strong_components' tuple.
-    None until the compiled kernels are loaded, and with the pure ones:
-    core.strong_components then runs its own Tarjan, the pure twin."""
-    if not compiled():
+    None on the pure kernels (see `_sized`), and for more states than the
+    C numbering takes: core.strong_components then runs its own Tarjan,
+    the pure twin."""
+    backend = _sized(n * k)
+    if backend is _kernels_py:
         return None
-    return _backend.strong_components(n, k, delta, succ)
+    return backend.strong_components(n, k, delta, succ)
 
 
 def closure_front(components, initial, final, up, reduce_min, word_cap, suffix_cap, step_cap):
     """What closure_dfa hands the closure kernels, prepared in C, in one
     call, from the table of the `components` that strong_components
-    returned: see _native.closure_front.  None for the tuple of the pure Tarjan, whose
-    closure closures.closure_dfa composes in Python, the pure twin."""
-    if not compiled() or not isinstance(components, _backend.Components):
+    returned: see _native.closure_front.  None for the plain tuple of the
+    pure Tarjan, whose closure closures.closure_dfa composes in Python,
+    the pure twin."""
+    if isinstance(components, tuple):
         return None
     return _backend.closure_front(components, initial, final, up, reduce_min, word_cap,
                                   suffix_cap, step_cap)
@@ -148,10 +157,7 @@ def antichain_preimage(n, k, succ, init_mask, final_mask, ks, budget):
 def dfa_minimize(n, k, delta, initial, finals):
     """Canonical minimal partial DFA: see _kernels_py.dfa_minimize, whose
     results every backend returns."""
-    backend = _backend
-    if backend is None:
-        backend = _kernels_py if n * k < LOAD_MIN_WORK else _load()
-    return backend.dfa_minimize(n, k, delta, initial, finals)
+    return _sized(n * k).dfa_minimize(n, k, delta, initial, finals)
 
 
 def __getattr__(name):

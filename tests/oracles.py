@@ -14,7 +14,9 @@ reduction, Fraction elimination
 instead of the fraction-free integer one, a membership run per pair
 instead of forward and backward state sets, a forward and a backward
 search over the triples instead of one pass over the strongly connected
-components.  Slow is fine; these only run on small inputs.
+components, a right-to-left recurrence over one word's suffixes instead
+of a product search for the least word missing from its down-closure.
+Slow is fine; these only run on small inputs.
 """
 
 import itertools
@@ -34,6 +36,31 @@ def subword_dp(x, y):
             if reach[i] and xs[i] == c:
                 reach[i + 1] = True
     return reach[len(xs)]
+
+
+def least_absent_subword(word, k):
+    """The length-lex least word over k letters that is not a subword of
+    the letter tuple `word`.  short[i] is the length of the shortest word
+    missing from word[i:]: 1 when some letter is missing from it, else 1
+    plus the least short[j + 1] over the first occurrence j of a letter;
+    the least letter that attains it leads the least such word."""
+    n = len(word)
+    first = [None] * k  # first occurrence of each letter in word[i:]
+    nxt = [None] * (n + 1)
+    short = [1] * (n + 1)
+    for i in range(n, -1, -1):
+        if i < n:
+            first[word[i]] = i
+        nxt[i] = list(first)
+        short[i] = min(1 if j is None else 1 + short[j + 1] for j in first)
+    out, i = [], 0
+    while True:
+        x = min(x for x, j in enumerate(nxt[i])
+                if (1 if j is None else 1 + short[j + 1]) == short[i])
+        out.append(x)
+        if nxt[i][x] is None:
+            return tuple(out)
+        i = nxt[i][x] + 1
 
 
 def _as_triples(a):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import subwordkit
 from subwordkit import (
-    DEFAULT_BUDGET, canonical_dfa, closure_dfa, down_interior, equivalent,
+    DEFAULT_BUDGET, Nfa, auto_alphabet, canonical_dfa, closure_dfa, down_interior, equivalent,
     gen_family, parse_automaton, parse_dfa, serialize_automaton, sigma_star_dfa,
     up_interior,
 )
@@ -269,8 +270,8 @@ def test_pipeline_gen_closure_decide(capsys, tmp_path):
 
 
 # Runs in a fresh interpreter: `import subwordkit`, then the CLI command
-# given as arguments (if any), and prints its exit code and the subwordkit
-# modules loaded by then.
+# given as arguments (if any), and prints its exit code and the modules
+# loaded by then.
 _CHILD = """
 import contextlib, io, json, sys
 import subwordkit
@@ -279,19 +280,26 @@ if sys.argv[1:]:
     from subwordkit.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("subwordkit."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def loaded_modules(*argv):
+def child_modules(*argv, rc=0):
+    """The modules that the CLI command argv has loaded in a fresh
+    interpreter when it exits, with exit code rc."""
     src = str(Path(subwordkit.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
                            text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
     assert child.returncode == 0, child.stderr
     code, modules = json.loads(child.stdout)
-    assert code == 0, child.stderr
-    return {m.removeprefix("subwordkit.") for m in modules}
+    assert code == rc, child.stderr
+    return set(modules)
+
+
+def loaded_modules(*argv):
+    return {m.removeprefix("subwordkit.") for m in child_modules(*argv)
+            if m.startswith("subwordkit.")}
 
 
 def test_import_loads_no_submodule():
@@ -315,3 +323,39 @@ def test_command_loads_only_the_modules_it_calls(tmp_path, argv, unused):
         argv = [*argv, "--in", write_family(tmp_path, "U", 2)]
     loaded = loaded_modules(*argv)
     assert "cli" in loaded and not loaded & unused, sorted(loaded)
+
+
+# Loading the compiled kernels costs a CLI child 10-26 ms, more than
+# small commands spend on their work, so these load neither ctypes nor
+# the library; the cone of `closure up` on E(6) always loads both.
+@pytest.mark.parametrize("argv, rc, loads", [
+    (["closure", "down", "--in", "D6"], 0, False),
+    (["closure", "down", "--in", "path2000"], 0, False),
+    (["closure", "up", "--in", "U4"], 0, False),
+    (["minimize", "--in", "E6"], 0, False),
+    (["decide", "closed", "--direction", "down", "--in", "D6"], 1, False),
+    (["decide", "inclusion", "--direction", "down", "--in", "D6", "--in2", "notU6"], 1, False),
+    (["decide", "universal", "--in", "D6"], 1, False),
+    (["interior", "up", "--method", "antichain", "--in", "upIntWitness7"], 0, False),
+    (["interior", "down", "--method", "duality", "--in", "D6"], 0, False),
+    (["gen", "V", "3"], 0, False),
+    (["closure", "up", "--in", "E6"], 0, True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_small_commands_load_no_compiled_kernels(tmp_path, argv, rc, loads):
+    def write(stem):
+        if stem != "path2000":
+            name = stem.rstrip("0123456789")
+            return write_family(tmp_path, name, int(stem[len(name):]))
+        rng = random.Random(2000)
+        path = Nfa(auto_alphabet(2), 2000, {(q, rng.randrange(2), q + 1) for q in range(1999)},
+                   {0}, {1999})
+        out = tmp_path / "path2000.aut"
+        out.write_text(serialize_automaton(path))
+        return str(out)
+
+    if loads and subwordkit.KERNEL_BACKEND != "compiled":
+        pytest.skip("the compiled kernels cannot be built here")
+    argv = [write(arg) if flag in ("--in", "--in2") else arg
+            for flag, arg in zip(["", *argv], argv)]
+    modules = child_modules(*argv, rc=rc)
+    assert ("ctypes" in modules, "subwordkit._native" in modules) == (loads, loads)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subwordkit import (
-    BudgetExceededError, InputError, Nfa, accepts, auto_alphabet,
+    DEFAULT_BUDGET, BudgetExceededError, InputError, Nfa, accepts, auto_alphabet,
     canonical_dfa, closure_dfa, down_closure, embeds, enumerate_upto,
     gen_family, minimize, determinize, up_closure,
 )
@@ -21,6 +21,7 @@ from oracles import (
     down_closure_saturation, down_member, up_closure_saturation, up_member,
 )
 from strategies import cone_inputs, dags, nfas
+from twins import composed
 
 
 def test_up_closure_membership_semantics():
@@ -237,17 +238,26 @@ def test_reduced_down_closure_keeps_the_lowest_member_of_each_maximal_component(
         assert set(bits(maximal(succ, k, mask))) == kept
 
 
-def test_down_closure_dfa_of_a_5000_state_path():
+# closure_dfa and its pure twin: on inputs this large closure_dfa loads
+# the compiled kernels and runs its front end in C
+closure_routes = pytest.mark.parametrize(
+    "close", [closure_dfa, lambda a, direction: composed(a, direction, DEFAULT_BUDGET)],
+    ids=["public", "pure"])
+
+
+@closure_routes
+def test_down_closure_dfa_of_a_5000_state_path(close):
     rng = random.Random(5)
     n = 5000
     a = Nfa(auto_alphabet(2), n, {(i, rng.randrange(2), i + 1) for i in range(n - 1)},
             {0}, {n - 1})
-    d = closure_dfa(a, "down")
+    d = close(a, "down")
     assert d.n == 5000
     assert d.final == frozenset(range(5000))
 
 
-def test_reduced_down_closure_of_a_transition_free_nfa_stays_small_in_memory():
+@closure_routes
+def test_reduced_down_closure_of_a_transition_free_nfa_stays_small_in_memory(close):
     # every state is its own component, so the reduced route is taken; it
     # keeps no reach mask per state (those alone would take n²/8 bytes)
     n = 20_000
@@ -255,7 +265,7 @@ def test_reduced_down_closure_of_a_transition_free_nfa_stays_small_in_memory():
     a = Nfa(auto_alphabet(2), n, (), {0}, {0})
     tracemalloc.start()
     try:
-        d = closure_dfa(a, "down")
+        d = close(a, "down")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,8 @@
 import copy
 import inspect
+import pickle
 import random
+import sys
 from array import array
 from dataclasses import FrozenInstanceError
 
@@ -17,7 +19,7 @@ from subwordkit import (
     minimize, serialize_automaton, sigma_star_dfa, trim, up_interior,
 )
 from subwordkit.closures import down_closure
-from subwordkit.core import strong_components
+from subwordkit.core import _strong_components, strong_components
 from subwordkit.experiments import EXPERIMENTS, random_dfa, random_nfa
 from subwordkit import kernels
 from subwordkit.kernels import explore, rows, step
@@ -112,6 +114,19 @@ def test_nfa_is_immutable_and_dfa_converts_to_equal_masks():
         del a.final
 
 
+@pytest.mark.parametrize("d", [gen_family("E", 3), random_dfa(random.Random(4), 7, 2)])
+def test_dfa_is_immutable_and_copies_and_pickles_as_equal(d):
+    for name in ("n", "final", "initial", "alphabet", "_delta"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(d, name)
+    assert d.n == d.to_nfa().n
+    for c in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert type(c) is Dfa and c == d and hash(c) == hash(d)
+        assert serialize_automaton(c) == serialize_automaton(d)
+
+
 @settings(max_examples=200, deadline=None)
 @given(nfas())
 def test_strong_components_match_mutual_reachability(a):
@@ -145,10 +160,17 @@ def test_strong_components_enter_the_naive_components_below_them(a):
         assert {frozenset(comps[j]) for j in b} == entered[frozenset(comps[i])]
 
 
-def test_strong_components_of_a_long_path_need_no_recursion():
+@pytest.mark.parametrize("find", [strong_components, lambda a: _strong_components(as_nfa(a))],
+                         ids=["public", "pure"])
+def test_strong_components_of_a_long_path_need_no_recursion(find):
     n = 5000
     a = Nfa(auto_alphabet(2), n, {(i, i % 2, i + 1) for i in range(n - 1)}, {0}, {n - 1})
-    comps, comp_of, below = strong_components(a)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        comps, comp_of, below = find(a)
+    finally:
+        sys.setrecursionlimit(limit)
     assert comps == [[q] for q in reversed(range(n))]
     assert below == [()] + [(i - 1,) for i in range(1, n)]
     d = down_closure(a)

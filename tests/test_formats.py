@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from subwordkit import (
-    BudgetExceededError, Dfa, FormatError, InputError, Nfa, auto_alphabet, equivalent,
+    Alphabet, BudgetExceededError, Dfa, FormatError, InputError, Nfa, auto_alphabet, equivalent,
     gen_family, parse_automaton, parse_dfa, render_dot, serialize_automaton,
 )
 from subwordkit.experiments import random_dfa, random_nfa
@@ -163,6 +163,12 @@ def test_render_dot_content():
     assert '0 -> 1 [label="a1"];' in dot
     lines = dot.splitlines()
     assert all(l.startswith(("digraph", "  ", "}")) for l in lines)
+
+
+def test_render_dot_escapes_quotes_and_backslashes_in_labels():
+    a = Nfa(Alphabet(('a"b', "c\\")), 2, {(0, 0, 1), (0, 1, 1)}, {0}, {1})
+    assert parse_automaton(serialize_automaton(a)) == a
+    assert '  0 -> 1 [label="a\\"b,c\\\\"];' in render_dot(a).splitlines()
 
 
 def test_render_dot_groups_parallel_edges():

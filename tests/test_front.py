@@ -5,7 +5,9 @@ core._strong_components and the composition of closures
 kernels; and the build of `_native.c` with strict warnings and under
 UBSan, where every compiled kernel meets its twin."""
 
+import json
 import os
+import random
 import subprocess
 import sys
 
@@ -17,8 +19,9 @@ from subwordkit import (DEFAULT_BUDGET, BudgetExceededError, Dfa, Nfa, _kernels_
                         closure_dfa, gen_family, kernels)
 from subwordkit.closures import CONE_SUFFIX_CAP, CONE_WORD_CAP, _CONE_STEP_CAP
 from subwordkit.core import _strong_components, as_nfa, dfa_from_words, empty_language_dfa
+from subwordkit.formats import serialize_automaton
 
-from oracles import strong_components_naive
+from oracles import least_absent_subword, strong_components_naive
 from strategies import dags, dfas, nfas, wide_nfas
 from twins import (compiled_components, compiled_front, composed, construction_states, front_of,
                    pure_front)
@@ -177,3 +180,69 @@ def test_the_source_builds_strictly_and_meets_its_twins_under_ubsan(tmp_path, mo
                           text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-4000:]
     assert done.stdout.split() == ["ok"]
+
+
+# Runs in a fresh interpreter: closes the automaton in the file argv[2]
+# downwards (argv[1] "nfa" or "dfa", the parser) or decides whether its
+# down-closure is universal ("universal"), and prints what closure_front
+# returned (True for a Front), whether ctypes and the compiled kernels
+# are loaded, and the result.
+_ROUTE_CHILD = """
+import json, sys
+from subwordkit import (closure_dfa, down_universal, kernels, parse_automaton, parse_dfa,
+                        serialize_automaton)
+kind, path = sys.argv[1:]
+fronts = []
+front = kernels.closure_front
+def traced(*args):
+    f = front(*args)
+    fronts.append(f is not None)
+    return f
+kernels.closure_front = traced
+text = open(path).read()
+if kind == "universal":
+    c = down_universal(parse_automaton(text))
+    out = [c.verdict, list(c.witness.letters)]
+else:
+    out = serialize_automaton(closure_dfa((parse_dfa if kind == "dfa" else parse_automaton)(text),
+                                          "down"))
+print(json.dumps([fronts, "ctypes" in sys.modules, "subwordkit._native" in sys.modules, out]))
+"""
+
+
+def route_in_child(tmp_path, kind, a):
+    path = tmp_path / "in.aut"
+    path.write_text(serialize_automaton(a))
+    child = subprocess.run([sys.executable, "-c", _ROUTE_CHILD, kind, str(path)],
+                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr[-4000:]
+    return json.loads(child.stdout)
+
+
+def two_letter_path(n):
+    rng = random.Random(n)
+    word = [rng.randrange(2) for _ in range(n - 1)]
+    return word, Nfa(auto_alphabet(2), n, {(q, x, q + 1) for q, x in enumerate(word)}, {0},
+                     {n - 1})
+
+
+# The route follows the input: from LOAD_MIN_WORK states times letters on
+# (a 2048-state path over two letters), the first component search loads
+# the compiled kernels and closure_dfa's front end runs in C, whatever ran
+# before in the process; one state less, nothing loads.
+@pytest.mark.parametrize("n, kind, compiled", [(2048, "nfa", True), (2048, "dfa", True),
+                                               (2047, "nfa", False)])
+def test_a_fresh_process_closes_by_the_inputs_size(tmp_path, n, kind, compiled):
+    assert 2048 * 2 == kernels.LOAD_MIN_WORK
+    a = two_letter_path(n)[1]
+    fronts, with_ctypes, loaded, out = route_in_child(tmp_path, kind, a)
+    assert (fronts, with_ctypes, loaded) == ([compiled], compiled, compiled)
+    assert out == serialize_automaton(composed(a, "down", DEFAULT_BUDGET))
+
+
+def test_a_fresh_process_decides_a_large_down_universality_on_the_compiled_components(tmp_path):
+    word, a = two_letter_path(2048)
+    fronts, with_ctypes, loaded, out = route_in_child(tmp_path, "universal", a)
+    assert (fronts, with_ctypes, loaded) == ([], True, True)
+    assert out == [False, list(least_absent_subword(word, 2))]
